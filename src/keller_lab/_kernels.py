@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import os
 
+# one implementation, the pure one, on both lanes
+from keller_lab._purepoly import compose_terms  # noqa: F401
+
 if os.environ.get("KELLER_LAB_PURE"):
     from keller_lab import _purepoly as _impl
 else:

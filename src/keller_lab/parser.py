@@ -79,11 +79,25 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Each '(' and each unary '-' costs the recursive-descent parser stack
+# frames (five per parenthesis), so nesting is capped well below Python's
+# recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = tokenize(text)
         self.index = 0
         self.n = n
+        self.depth = 0
+
+    def nest(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {MAX_NESTING} levels of "
+                "parentheses and unary minus", tok.position)
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -126,8 +140,10 @@ class _Parser:
 
     def factor(self) -> Poly:
         if self.peek().kind == "minus":
-            self.advance()
-            return -self.factor()
+            self.nest(self.advance())
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> Poly:
@@ -159,8 +175,10 @@ class _Parser:
         if tok.kind == "name":
             return Poly.variable(self.n, self.variable_index(tok))
         if tok.kind == "lparen":
+            self.nest(tok)
             value = self.expression()
             self.expect("rparen")
+            self.depth -= 1
             return value
         raise ParseError(
             f"expected a number, variable or '(', found "

@@ -261,29 +261,8 @@ class Poly:
         if self.n != pmap.n:
             raise ValueError(
                 f"dimension mismatch: {self.n} variables vs map on {pmap.n}")
-        n = pmap.n
-        one = {(0,) * n: _ONE}
-        # cache[i] holds powers of component i, filled on demand
-        cache: list[dict[int, dict]] = [dict() for _ in range(n)]
-        total: dict = {}
-        for mono, coeff in self._terms.items():
-            acc = dict(one)
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                pows = cache[i]
-                p = pows.get(e)
-                if p is None:
-                    base = pmap.components[i]._terms
-                    prev = pows.get(e - 1)
-                    if prev is not None:
-                        p = _kernels.mul_terms(prev, base)
-                    else:
-                        p = _kernels.pow_terms(base, e, n)
-                    pows[e] = p
-                acc = _kernels.mul_terms(acc, p)
-            total = _kernels.add_terms(total, _kernels.scale_terms(coeff, acc))
-        return Poly._wrap(n, total)
+        return Poly._wrap(pmap.n, _kernels.compose_terms(
+            self._terms, [c._terms for c in pmap.components], pmap.n))
 
     def eval(self, point: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point."""

@@ -195,6 +195,17 @@ class TestExitCodes:
                          "--n", "2", "--domain", "pentagon:1"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000,
+                                      "-" * 3000 + "x"])
+    def test_hostile_nesting_is_two(self, capsys, text):
+        code = cli.main(["keller", "--expr=" + text, "--expr", "y"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "nests deeper" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_success_is_zero(self, capsys):
         assert cli.main(["keller", "--expr", "x", "--expr", "y",
                          "--n", "2"]) == 0

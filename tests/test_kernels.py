@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keller_lab import _kernels, _purepoly
+from keller_lab.poly import Poly
 
 try:
     from keller_lab import _fastpoly
@@ -38,6 +39,47 @@ def schoolbook_mul(a, b):
 
 operand_pairs = st.integers(0, 3).flatmap(
     lambda n: st.tuples(term_dicts(n), term_dicts(n)))
+
+
+def substitute(outer, components, n):
+    """Oracle: sum of c * prod g_i**e_i, built with Poly + and *."""
+    total = Poly.zero(n)
+    for mono, coeff in outer.items():
+        term = Poly.const(n, coeff)
+        for g, e in zip(components, mono):
+            for _ in range(e):
+                term = term * Poly(n, g)
+        total = total + term
+    return total.terms
+
+
+coefficients = st.fractions(min_value=-30, max_value=30,
+                            max_denominator=7).filter(bool)
+
+
+def compositions(n):
+    """An outer term dict of degree <= 4 and n components: zero, constant
+    or up to three terms of degree <= 4."""
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    outer = st.dictionaries(exponents.filter(lambda m: sum(m) <= 4),
+                            coefficients, max_size=6)
+    component = st.one_of(
+        st.just({}),
+        coefficients.map(lambda c: {(0,) * n: c}),
+        st.dictionaries(exponents, coefficients, min_size=1, max_size=3))
+    return st.tuples(outer, st.tuples(*[component] * n))
+
+
+compose_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), compositions(n)))
+
+# pow operands: empty, constant, cancelling (x - y), coprime denominators
+POW_OPERANDS = [
+    {},
+    {(0, 0): Fraction(-3, 2)},
+    {(1, 0): Fraction(1), (0, 1): Fraction(-1)},
+    {(1, 0): Fraction(1, 3), (0, 2): Fraction(2, 5), (0, 0): Fraction(-1, 7)},
+]
 
 
 class TestLaneSelection:
@@ -179,3 +221,49 @@ class TestKernelContracts:
                                           (0,): Fraction(1)}
         assert lane.pow_terms(x1, 4, 1) == {(k,): Fraction(c) for k, c in
                                             enumerate((1, 4, 6, 4, 1))}
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_pow_matches_repeated_mul(self, lane, k):
+        for a in POW_OPERANDS:
+            expected = {(0, 0): Fraction(1)}
+            for _ in range(k):
+                expected = lane.mul_terms(expected, a)
+            assert lane.pow_terms(a, k, 2) == expected
+
+    @settings(deadline=None)
+    @given(case=compose_cases)
+    def test_compose_matches_substitution(self, lane, case):
+        n, (outer, components) = case
+        got = _kernels.compose_terms(outer, list(components), n)
+        assert got == substitute(outer, components, n)
+        assert all(isinstance(c, Fraction) and c for c in got.values())
+
+    def test_compose_results_are_canonical(self, lane):
+        one = Fraction(1)
+        x = {(1, 0): one}
+        x_squared = {(2, 0): one}
+        # x1 - x2 and x1^2 - x2 under substitutions that make them vanish
+        assert _kernels.compose_terms({(1, 0): one, (0, 1): -one},
+                                      [x, x], 2) == {}
+        assert _kernels.compose_terms({(2, 0): one, (0, 1): -one},
+                                      [x, x_squared], 2) == {}
+        assert _kernels.compose_terms({}, [x, x], 2) == {}
+        # a zero component kills every monomial that uses its variable
+        assert (_kernels.compose_terms({(1, 1): one, (0, 0): Fraction(5)},
+                                       [{}, x], 2) == {(0, 0): Fraction(5)})
+
+    def test_compose_coprime_denominators(self, lane):
+        # (1/2) g1 g2 + 1/3 with g1 = x/5 + 1/7 and g2 = y/3
+        outer = {(1, 1): Fraction(1, 2), (0, 0): Fraction(1, 3)}
+        g1 = {(1, 0): Fraction(1, 5), (0, 0): Fraction(1, 7)}
+        g2 = {(0, 1): Fraction(1, 3)}
+        assert _kernels.compose_terms(outer, [g1, g2], 2) == {
+            (1, 1): Fraction(1, 30), (0, 1): Fraction(1, 42),
+            (0, 0): Fraction(1, 3)}
+
+    def test_compose_deep_univariate_outer(self, lane):
+        # the trie of x^1500 is a chain 1500 deep: no recursion allowed
+        g = {(1,): Fraction(1, 2), (0,): Fraction(-1)}
+        got = _kernels.compose_terms({(1500,): Fraction(1)}, [g], 1)
+        assert got == lane.pow_terms(g, 1500, 1)
+        assert len(got) == 1501

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.parser import (
+    MAX_NESTING,
     ParseError,
     infer_dimension,
     is_family_format,
@@ -113,6 +114,22 @@ class TestExpressionErrors:
             parse_poly("x1", 0)
         with pytest.raises(ValueError):
             parse_poly("x1", 10)
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000,
+                                      "-" * 3000 + "x"])
+    def test_hostile_nesting_rejected(self, text):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_map([text, "y"])
+
+    def test_nesting_up_to_the_cap_parses(self):
+        x = Poly.variable(1, 1)
+        depth = MAX_NESTING
+        assert parse_poly("(" * depth + "x" + ")" * depth, 1) == x
+        assert parse_poly("-" * depth + "x", 1) == x * (-1) ** depth
+        assert parse_poly("-(" * (depth // 2) + "x" + ")" * (depth // 2),
+                          1) == x * (-1) ** (depth // 2)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_poly("(" * (depth + 1) + "x" + ")" * (depth + 1), 1)
 
 
 class TestRoundTrip:
