@@ -1,17 +1,17 @@
-"""Pure-python term-dict kernels.
+"""Term-dict kernels: the package's one polynomial kernel, in pure python.
 
 A term dict maps an exponent tuple (one non-negative int per variable) to a
 nonzero Fraction coefficient.  The zero polynomial is the empty dict.  Every
 kernel expects canonical inputs (no zero coefficients, keys of equal length)
-and returns a canonical dict.  The compiled kernel in ``_fastpoly`` exposes
-the same functions except ``compose_terms``; ``keller_lab._kernels`` picks one
-at import time.
+and returns a canonical dict.  The hot loops run on plain ints: exponent
+tuples packed into one int, coefficients as integer numerators over a
+shared denominator, and one Fraction built per result term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 IMPLEMENTATION = "pure"
 
@@ -224,17 +224,30 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
 
 
 def eval_terms(a: dict, point: tuple) -> Fraction:
-    """Evaluate the term dict at a point (exact)."""
-    total = _ZERO
-    pows: list[dict[int, Fraction]] = [{} for _ in point]
+    """Evaluate the term dict at a point (exact).
+
+    The sum is kept as one integer numerator over one integer denominator,
+    reduced by their gcd after each term, and one Fraction is built at the
+    end.  Each coordinate's powers are cached as (numerator**e,
+    denominator**e) pairs.
+    """
+    caches: list[dict] = [{} for _ in point]
+    acc_num, acc_den = 0, 1
     for mono, coeff in a.items():
-        val = coeff
+        num, den = coeff.numerator, coeff.denominator
         for i, e in enumerate(mono):
             if e:
-                cache = pows[i]
-                p = cache.get(e)
-                if p is None:
-                    p = cache[e] = point[i] ** e
-                val *= p
-        total += val
-    return total
+                cache = caches[i]
+                pair = cache.get(e)
+                if pair is None:
+                    x = point[i]
+                    pair = cache[e] = (x.numerator ** e, x.denominator ** e)
+                num *= pair[0]
+                den *= pair[1]
+        acc_num = acc_num * den + num * acc_den
+        acc_den *= den
+        g = gcd(acc_num, acc_den)
+        if g > 1:
+            acc_num //= g
+            acc_den //= g
+    return Fraction(acc_num, acc_den)

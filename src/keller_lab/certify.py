@@ -536,11 +536,17 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
     lip = (_second_derivative_bound(inp.h, bound_radius)
            + _second_derivative_bound(inp.g, bound_radius))
     slack = lip * half_sum
-    angles = unit_gamma_grid(gamma_steps)
-    tried = 0
     best: tuple[Fraction, Fraction] | None = None
     best_score: Fraction | None = None
-    for ur, ui in angles:
+
+    def angles():
+        yield from unit_gamma_grid(gamma_steps)
+        # runs once the grid is spent, so best is the grid's best angle
+        if best is not None:
+            yield from _rotations_near(best, max(gamma_steps, 4))
+
+    tried = 0
+    for ur, ui in angles():
         tried += 1
         passed, min_margin, score = _scan_gamma(hp, gp, centers, slack,
                                                 ur, ui)
@@ -554,19 +560,6 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
             })
         if best_score is None or (score is not None and score > best_score):
             best, best_score = (ur, ui), score
-    if best is not None:
-        for ur, ui in _rotations_near(best, max(gamma_steps, 4)):
-            tried += 1
-            passed, min_margin, _ = _scan_gamma(hp, gp, centers, slack,
-                                                ur, ui)
-            if passed:
-                return Certificate(PROVEN, "planar-shear", {
-                    "gamma": (ur, ui),
-                    "min_squared_margin": min_margin,
-                    "cells": len(centers),
-                    "slack": slack,
-                    "angles_tried": tried,
-                })
     return Certificate(INCONCLUSIVE, "planar-shear", {
         "angles_tried": tried,
         "cells": len(centers),

@@ -406,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         report, args = build_report(argv)
+    except SystemExit as exc:  # argparse printed a usage error or the help
+        return exc.code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

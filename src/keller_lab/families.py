@@ -21,6 +21,8 @@ from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.poly import (
     Poly,
     PolyMap,
+    _uadd,
+    _umul,
     as_rational,
     z_power,
 )
@@ -254,7 +256,7 @@ def compose_zshift(outer: ZShiftMap, inner: ZShiftMap) -> ZShiftMap:
         raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
     n = outer.n
     s = [_ZERO, _ONE] + list(inner.column_sums())
-    s_powers: dict[int, list[Fraction]] = {1: s}
+    s_powers: list[list[Fraction]] = [[_ONE], s]  # s_powers[l] = s(z)^l
     out_width = 0
     rows: list[list[Fraction]] = []
     for k in range(n):
@@ -264,15 +266,9 @@ def compose_zshift(outer: ZShiftMap, inner: ZShiftMap) -> ZShiftMap:
             if not q:
                 continue
             l = idx + 2
-            power = s_powers.get(l)
-            if power is None:
-                prev = s_powers.get(l - 1)
-                if prev is None:
-                    prev = _uni_pow(s, l - 1)
-                    s_powers[l - 1] = prev
-                power = _uni_mul(prev, s)
-                s_powers[l] = power
-            acc = _uni_add(acc, [q * c for c in power])
+            while len(s_powers) <= l:
+                s_powers.append(_umul(s_powers[-1], s))
+            acc = _uadd(acc, [q * c for c in s_powers[l]])
         if acc[0] != 0 or (len(acc) > 1 and acc[1] != 0):
             raise AssertionError("composition left the z-shift family")
         rows.append(acc[2:])
@@ -318,30 +314,3 @@ def conjugate(a: RatMatrix, f: PolyMap, b: RatMatrix) -> PolyMap:
                 p = p + inner.components[j] * c
         comps.append(p)
     return PolyMap(comps)
-
-
-def _uni_add(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] += c
-    return out
-
-
-def _uni_mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _uni_pow(u: list[Fraction], k: int) -> list[Fraction]:
-    out = [_ONE]
-    for _ in range(k):
-        out = _uni_mul(out, u)
-    return out

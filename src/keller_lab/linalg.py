@@ -81,74 +81,23 @@ class RatMatrix:
         return RatMatrix([[self.data[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
-    def _eliminated(self) -> tuple[list[list[Fraction]], list[int], Fraction]:
-        """Row echelon form; returns (matrix, pivot columns, det scale).
-
-        The determinant scale tracks row swaps (sign only; rows are not
-        rescaled during elimination of the returned echelon form).
-        """
-        m = [row[:] for row in self.data]
-        sign = _ONE
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                sign = -sign
-            pivot = m[r][c]
-            for i in range(r + 1, self.rows):
-                if m[i][c]:
-                    factor = m[i][c] / pivot
-                    m[i][c] = _ZERO
-                    for j in range(c + 1, self.cols):
-                        m[i][j] -= factor * m[r][j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots, sign
-
     def rank(self) -> int:
-        _, pivots, _ = self._eliminated()
-        return len(pivots)
+        return len(_rref(list(self.data), self.cols)[0])
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        m, pivots, sign = self._eliminated()
-        if len(pivots) < self.rows:
-            return _ZERO
-        # full rank and square: pivot columns are exactly 0..n-1
-        out = sign
-        for i in range(self.rows):
-            out *= m[i][i]
-        return out
+        pivots, sign, product = _rref(list(self.data), self.cols)
+        return sign * product if len(pivots) == self.rows else _ZERO
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
-        m = [row[:] + [_ONE if i == j else _ZERO for j in range(n)]
+        m = [row + [_ONE if i == j else _ZERO for j in range(n)]
              for i, row in enumerate(self.data)]
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-            pivot = m[c][c]
-            m[c] = [x / pivot for x in m[c]]
-            for i in range(n):
-                if i != c and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+        if len(_rref(m, n)[0]) < n:
+            raise ValueError("matrix is singular")
         return RatMatrix([row[n:] for row in m])
 
     def __str__(self) -> str:
@@ -157,6 +106,43 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.data!r})"
+
+
+def _rref(m: list[list[Fraction]], k: int) -> tuple[list[int], int, Fraction]:
+    """Reduce the first k columns of the row list m to RREF, in place.
+
+    Gauss-Jordan elimination: each pivot row is scaled to a leading one and
+    its column cleared above and below.  Row operations span whole rows, so
+    columns past k (a right-hand side, an identity block) are carried
+    along.  Rows are replaced in m, never mutated, so m may share its rows
+    with a matrix that must stay unchanged.  Returns the pivot columns, the
+    sign of the row swaps and the product of the pivots before scaling; for
+    a square matrix of full rank the determinant is sign * product.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    sign, product = 1, _ONE
+    for c in range(k):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        pivot = m[r][c]
+        product *= pivot
+        # zeros are skipped: Fraction arithmetic dominates the cost
+        m[r] = [x / pivot if x else x for x in m[r]]
+        for i in range(rows):
+            factor = m[i][c]
+            if i != r and factor:
+                m[i] = [x - factor * y if y else x
+                        for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, sign, product
 
 
 @dataclass(frozen=True)
@@ -185,36 +171,19 @@ def rat_solve(a: RatMatrix, b: Sequence[int | Fraction]) -> SolveResult:
     """Solve A x = b exactly, reporting inconsistency or free directions."""
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    rows, cols = a.rows, a.cols
-    m = [row[:] + [as_rational(b[i])] for i, row in enumerate(a.data)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        m[r] = [x / pivot for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    cols = a.cols
+    m = [row + [as_rational(b[i])] for i, row in enumerate(a.data)]
+    pivots, _, _ = _rref(m, cols)
     rank = len(pivots)
-    for i in range(rank, rows):
-        if m[i][cols]:
-            return SolveResult(None, (), rank)
+    if any(row[cols] for row in m[rank:]):
+        return SolveResult(None, (), rank)
     solution = [_ZERO] * cols
     for i, c in enumerate(pivots):
         solution[c] = m[i][cols]
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for c in free:
+    for c in range(cols):
+        if c in pivots:
+            continue
         vec = [_ZERO] * cols
         vec[c] = _ONE
         for i, pc in enumerate(pivots):

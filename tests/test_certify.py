@@ -370,6 +370,15 @@ class TestShearCheck:
         cert = planar_shear_check(inp, resolution=8, gamma_steps=8)
         assert cert.status == PROVEN
 
+    def test_bracket_proves_between_grid_angles(self):
+        # h' = 3/5 + 4i/5 points between the 4 grid angles, and |g'| = 17/20
+        # leaves too little room for any of them: only the bracket proves it
+        inp = PlanarShearInput(((0, 0), (Fraction(3, 5), Fraction(4, 5))),
+                               ((0, 0), (Fraction(17, 20), 0)))
+        cert = planar_shear_check(inp, resolution=8, gamma_steps=4)
+        assert cert.status == PROVEN
+        assert cert.evidence["angles_tried"] > 4
+
     def test_radius_respected(self):
         # g' = z/4 exceeds 1 eventually: big disks defeat the margin
         inp = PlanarShearInput(

@@ -206,6 +206,18 @@ class TestExitCodes:
         assert "nests deeper" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_option_like_expression_is_usage_error(self, capsys):
+        # argparse takes "-x" for an option: exit 2, not SystemExit
+        code = cli.main(["keller", "--expr", "-x", "--expr", "y",
+                         "--n", "2"])
+        assert code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_option_like_expression_with_equals_form(self, capsys):
+        assert cli.main(["keller", "--expr=-x", "--expr", "y",
+                         "--n", "2"]) == 0
+        capsys.readouterr()
+
     def test_success_is_zero(self, capsys):
         assert cli.main(["keller", "--expr", "x", "--expr", "y",
                          "--n", "2"]) == 0

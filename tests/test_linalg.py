@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +205,51 @@ class TestPolyMatrix:
 def test_det_transpose_invariant(rows):
     a = RatMatrix(rows)
     assert a.det() == a.transpose().det()
+
+
+def leibniz_det(rows):
+    """Oracle: sum over permutations of sign * prod of one entry per row."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = prod((rows[i][perm[i]] for i in range(len(perm))), start=1)
+        total += -term if inversions % 2 else term
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 4x4; half of them have one row made a
+    combination of the others (zero rows and 1x1 zeros included)."""
+    size = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=3))
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, size - 1))
+        weights = [draw(entry) for _ in range(size)]
+        rows[j] = [sum((weights[i] * rows[i][c] for i in range(size)
+                        if i != j), Fraction(0)) for c in range(size)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_and_nullspace_against_oracles(rows):
+    a = RatMatrix(rows)
+    size = len(rows)
+    det = a.det()
+    assert det == leibniz_det(rows)
+    res = rat_solve(a, (0,) * size)
+    assert res.rank == a.rank() == size - len(res.nullspace)
+    assert (det != 0) == (res.rank == size)
+    for vec in res.nullspace:
+        assert any(vec)
+        assert a.apply(vec) == (0,) * size
+    if det:
+        assert a @ a.inverse() == RatMatrix.identity(size)
+    else:
+        with pytest.raises(ValueError):
+            a.inverse()
