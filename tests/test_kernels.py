@@ -101,13 +101,18 @@ POW_OPERANDS = [
 ]
 
 
+class TestLaneSelection:
+    def test_active_lane_reports_itself(self):
+        assert _kernels.IMPLEMENTATION == "pure"
+        assert keller_lab.KERNEL_IMPLEMENTATION == _kernels.IMPLEMENTATION
+
+    def test_pure_lane_label(self):
+        assert _purepoly.IMPLEMENTATION == "pure"
+
+
 # one parameter, the kernel poly calls, so each test keeps its [pure] id
 @pytest.mark.parametrize("kernel", [_kernels], ids=[_kernels.IMPLEMENTATION])
 class TestKernelContracts:
-    def test_implementation_label(self, kernel):
-        assert kernel.IMPLEMENTATION == _purepoly.IMPLEMENTATION == "pure"
-        assert keller_lab.KERNEL_IMPLEMENTATION == "pure"
-
     def test_results_are_canonical(self, kernel):
         # cancelling sums must drop keys, never keep zero coefficients
         a = {(1, 0): Fraction(2)}
