@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from keller_lab.families import ZShiftMap
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import RatMatrix
+from keller_lab.linalg import PolyMatrix, RatMatrix
 from keller_lab.poly import ExpansionLimitError, Poly, PolyMap, as_rational
 
 _ZERO = Fraction(0)
@@ -207,11 +207,19 @@ def segment_matrix(f: PolyMap, x1: Sequence, x2: Sequence) -> RatMatrix:
         raise ValueError("dimension mismatch")
     if a == b:
         raise ValueError("segment endpoints must differ")
-    jm = jacobian_matrix(f)
+    return _segment_matrix(jacobian_matrix(f), a, b)
+
+
+def _segment_matrix(jm: PolyMatrix, a: Point, b: Point) -> RatMatrix:
+    """segment_matrix from the Jacobian matrix jm of the map.
+
+    a and b are distinct rational points of the map's dimension.  Callers
+    that integrate many segments of one map build jm once per call.
+    """
     entries = []
-    for i in range(f.n):
+    for i in range(jm.rows):
         row = []
-        for j in range(f.n):
+        for j in range(jm.cols):
             coeffs = jm[i, j].restrict_segment(a, b)
             row.append(sum((c / (d + 1) for d, c in enumerate(coeffs)),
                            _ZERO))
@@ -236,6 +244,7 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
     rng = random.Random(seed)
+    jm = jacobian_matrix(f)
     min_abs: Fraction | None = None
     for tested in range(1, trials + 1):
         x1 = sample_point(domain, rng, denom_bits)
@@ -246,7 +255,7 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
             if retries > 100:
                 raise ValueError("domain too small to sample distinct pairs")
             x2 = sample_point(domain, rng, denom_bits)
-        det = segment_matrix(f, x1, x2).det()
+        det = _segment_matrix(jm, x1, x2).det()
         if det == 0:
             v1, v2 = f.eval(x1), f.eval(x2)
             if v1 == v2:
@@ -285,10 +294,11 @@ def certify_injective_zshift(f: ZShiftMap) -> Certificate:
         raise AssertionError("family determinant identity failed")
     spot_pairs = 0
     try:
+        jm = jacobian_matrix(f)
         for shift in (1, 2):
             x1 = tuple(Fraction(k + shift, 3) for k in range(f.n))
             x2 = tuple(Fraction(-k - 2 * shift, 5) for k in range(f.n))
-            if segment_matrix(f, x1, x2).det() != 1:
+            if _segment_matrix(jm, x1, x2).det() != 1:
                 raise AssertionError("segment determinant left the identity")
             spot_pairs += 1
     except ExpansionLimitError:

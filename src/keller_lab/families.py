@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from keller_lab import _kernels
 from keller_lab.jacobian import zshift_det_formula
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.poly import (
     Poly,
     PolyMap,
-    _uadd,
-    _umul,
     as_rational,
+    univariate_coefficients,
     z_power,
 )
 
@@ -255,25 +255,23 @@ def compose_zshift(outer: ZShiftMap, inner: ZShiftMap) -> ZShiftMap:
     if outer.n != inner.n:
         raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
     n = outer.n
-    s = [_ZERO, _ONE] + list(inner.column_sums())
-    s_powers: list[list[Fraction]] = [[_ONE], s]  # s_powers[l] = s(z)^l
+    s = {(1,): _ONE}
+    for l, c in enumerate(inner.column_sums(), 2):
+        if c:
+            s[(l,)] = c
     out_width = 0
-    rows: list[list[Fraction]] = []
+    rows: list[tuple[Fraction, ...]] = []
     for k in range(n):
         # r_k(z) = inner shift + outer shift evaluated at s(z)
-        acc = [_ZERO, _ZERO] + list(inner.coeffs[k])
-        for idx, q in enumerate(outer.coeffs[k]):
-            if not q:
-                continue
-            l = idx + 2
-            while len(s_powers) <= l:
-                s_powers.append(_umul(s_powers[-1], s))
-            acc = _uadd(acc, [q * c for c in s_powers[l]])
+        shift = {(l,): c for l, c in enumerate(inner.coeffs[k], 2) if c}
+        q = {(l,): c for l, c in enumerate(outer.coeffs[k], 2) if c}
+        acc = univariate_coefficients(_kernels.add_terms(
+            shift, _kernels.compose_terms(q, [s], 1)))
         if acc[0] != 0 or (len(acc) > 1 and acc[1] != 0):
             raise AssertionError("composition left the z-shift family")
         rows.append(acc[2:])
         out_width = max(out_width, len(acc) - 2)
-    return ZShiftMap(tuple(tuple(row) + (_ZERO,) * (out_width - len(row))
+    return ZShiftMap(tuple(row + (_ZERO,) * (out_width - len(row))
                            for row in rows))
 
 

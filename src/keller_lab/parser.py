@@ -3,8 +3,9 @@
 The expression grammar is plain arithmetic: ``+ - * ^``, unary minus,
 parentheses, integer and fraction literals (``3/2``), and variables
 ``x1``..``x9`` (with ``x``/``y`` as aliases when the map has at most two
-variables).  ``^`` takes a non-negative integer literal.  Multiplication
-is always explicit.  Pretty-printed polynomials re-parse to themselves.
+variables).  ``^`` takes a non-negative integer literal of at most
+``MAX_EXPONENT``.  Multiplication is always explicit.  Pretty-printed
+polynomials re-parse to themselves.
 
 Map files hold either one component expression per line (``#`` comments
 allowed) or a key-value family description:
@@ -84,6 +85,10 @@ def tokenize(text: str) -> list[Token]:
 # recursion limit.
 MAX_NESTING = 100
 
+# Powering repeats one multiplication per unit of the exponent, so a literal
+# like x^100000000 would never finish; exponents are capped before powering.
+MAX_EXPONENT = 1000
+
 
 class _Parser:
     def __init__(self, text: str, n: int):
@@ -156,7 +161,15 @@ class _Parser:
                     "exponent must be a non-negative integer literal",
                     tok.position)
             self.advance()
-            return base ** int(tok.text)
+            # compare digit counts first: int() refuses literals of more
+            # than 4300 digits
+            digits = tok.text.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise ParseError(
+                    f"exponent exceeds the limit of {MAX_EXPONENT}",
+                    tok.position)
+            return base ** int(digits)
         return base
 
     def atom(self) -> Poly:

@@ -248,13 +248,15 @@ class Poly:
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         j = i - 1
-        out: dict[Monomial, Fraction] = {}
+        # lowering x_j is one-to-one on the monomials with e_j > 0, and
+        # coeff * e_j is never zero: no accumulation, no zero filter
+        out = {}
         for mono, coeff in self._terms.items():
             e = mono[j]
             if e:
-                new = mono[:j] + (e - 1,) + mono[j + 1:]
-                out[new] = out.get(new, _ZERO) + coeff * e
-        return Poly._wrap(self.n, {m: c for m, c in out.items() if c})
+                out[mono[:j] + (e - 1,) + mono[j + 1:]] = Fraction(
+                    coeff.numerator * e, coeff.denominator)
+        return Poly._wrap(self.n, out)
 
     def compose(self, pmap: "PolyMap") -> "Poly":
         """Substitute x_i -> pmap.components[i-1], fully expanded."""
@@ -277,35 +279,18 @@ class Poly:
         """Coefficients (in t) of p(start + t*(end - start)), exact.
 
         Returns the univariate coefficient tuple c0..cd with
-        p(gamma(t)) = sum c_k t^k.
+        p(gamma(t)) = sum c_k t^k: p composed, by the compose kernel, with
+        the line x_i = start_i + (end_i - start_i) * t.
         """
         if len(start) != self.n or len(end) != self.n:
             raise ValueError("dimension mismatch in segment endpoints")
-        a = [as_rational(c) for c in start]
-        b = [as_rational(e) - as_rational(s) for s, e in zip(start, end)]
-        cache: dict[tuple[int, int], list[Fraction]] = {}
-
-        def linear_power(i: int, e: int) -> list[Fraction]:
-            got = cache.get((i, e))
-            if got is not None:
-                return got
-            if e == 0:
-                out = [_ONE]
-            else:
-                out = _umul(linear_power(i, e - 1), [a[i], b[i]])
-            cache[(i, e)] = out
-            return out
-
-        total: list[Fraction] = [_ZERO]
-        for mono, coeff in self._terms.items():
-            term = [coeff]
-            for i, e in enumerate(mono):
-                if e:
-                    term = _umul(term, linear_power(i, e))
-            total = _uadd(total, term)
-        while len(total) > 1 and not total[-1]:
-            total.pop()
-        return tuple(total)
+        line = []
+        for s, e in zip(start, end):
+            a = as_rational(s)
+            g = {(0,): a, (1,): as_rational(e) - a}
+            line.append({k: c for k, c in g.items() if c})
+        return univariate_coefficients(
+            _kernels.compose_terms(self._terms, line, 1))
 
     # -- printing ----------------------------------------------------------
 
@@ -337,24 +322,16 @@ class Poly:
         return f"Poly({self.n}, {self})"
 
 
-def _uadd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] += c
-    return out
-
-
-def _umul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[i + j] += a * b
-    return out
+def univariate_coefficients(terms: Mapping[Monomial, Fraction]
+                            ) -> tuple[Fraction, ...]:
+    """c0..cd of a univariate term dict, interior zeros kept; (0,) for the
+    zero polynomial."""
+    if not terms:
+        return (_ZERO,)
+    out = [_ZERO] * (max(terms)[0] + 1)
+    for (k,), c in terms.items():
+        out[k] = c
+    return tuple(out)
 
 
 class PolyMap:

@@ -212,6 +212,38 @@ class TestSamplingCertifier:
         assert cert.status != PROVEN
 
 
+def counted_jacobians(monkeypatch) -> list:
+    """Record every map whose Jacobian matrix certify builds."""
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return jacobian_matrix(f)
+
+    monkeypatch.setattr(certify, "jacobian_matrix", counting)
+    return built
+
+
+class TestOneJacobianPerCall:
+    def test_sampling_builds_the_jacobian_once(self, monkeypatch):
+        f = parse_map(["x + y^2", "y"])
+        plain = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
+        built = counted_jacobians(monkeypatch)
+        counted = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
+        assert built == [f]
+        assert counted.evidence == plain.evidence
+        # a second call builds its own: nothing is kept across calls
+        certify_injective_sampling(f, UNIT_BOX, trials=3, seed=1)
+        assert built == [f, f]
+
+    def test_zshift_spot_pairs_share_one_jacobian(self, monkeypatch):
+        f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
+        built = counted_jacobians(monkeypatch)
+        cert = certify_injective_zshift(f)
+        assert cert.evidence["spot_pairs_checked"] == 2
+        assert built == [f]
+
+
 class TestSymbolicZshiftCertifier:
     def test_worked_map_proven(self):
         f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +206,17 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
         assert "nests deeper" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_huge_exponent_is_two_promptly(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["keller", "--expr", "x^100000000", "--expr", "y"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "exceeds the limit" in captured.err
+        assert elapsed < 5
 
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit

@@ -171,6 +171,27 @@ class TestComposeZShift:
         slow = PolyMap(outer.components).compose(PolyMap(inner.components))
         assert PolyMap(composed.components) == slow
 
+    def test_non_keller_tables_match_generic_composition(self):
+        # nonzero column sums, unequal widths, an all-zero z^2 column under
+        # higher ones, and the identity on either side
+        rng = random.Random(23)
+
+        def table(n, width):
+            return [[0 if (l == 0 < width - 1) or rng.random() < 0.25
+                     else rational(rng) for l in range(width)]
+                    for _ in range(n)]
+
+        for n, w_outer, w_inner in [(2, 3, 1), (2, 1, 3), (3, 2, 2),
+                                    (4, 2, 2), (3, 0, 2), (2, 2, 0)]:
+            outer = ZShiftMap(table(n, w_outer))
+            inner = ZShiftMap(table(n, w_inner))
+            fast = compose_zshift(outer, inner)
+            slow = PolyMap(outer.components).compose(
+                PolyMap(inner.components))
+            assert PolyMap(fast.components) == slow
+            point = random_point(rng, n)
+            assert fast.eval(point) == outer.eval(inner.eval(point))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compose_zshift(ZShiftMap([[1], [-1]]),

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.parser import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ParseError,
     infer_dimension,
@@ -130,6 +131,22 @@ class TestExpressionErrors:
                           1) == x * (-1) ** (depth // 2)
         with pytest.raises(ParseError, match="nests deeper"):
             parse_poly("(" * (depth + 1) + "x" + ")" * (depth + 1), 1)
+
+    def test_exponent_up_to_the_cap_parses(self):
+        x = Poly.variable(1, 1)
+        assert parse_poly(f"x^{MAX_EXPONENT}", 1) == Poly.monomial(
+            1, (MAX_EXPONENT,))
+        assert parse_poly(f"(x + 1)^{MAX_EXPONENT}", 1).degree() == MAX_EXPONENT
+        assert parse_poly("x^0", 1) == x ** 0
+        assert parse_poly("x^000" + str(MAX_EXPONENT), 1) == Poly.monomial(
+            1, (MAX_EXPONENT,))
+
+    @pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 100000000,
+                                          "9" * 5000])
+    def test_exponent_above_the_cap_rejected(self, exponent):
+        with pytest.raises(ParseError, match="exceeds the limit") as info:
+            parse_map([f"y + x^{exponent}", "y"])
+        assert info.value.position == len("y + x^")
 
 
 class TestRoundTrip:

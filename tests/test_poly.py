@@ -160,6 +160,33 @@ class TestCalculus:
         p = Poly.const(2, 9)
         assert p.restrict_segment((0, 0), (1, 1)) == (Fraction(9),)
 
+    def test_restrict_segment_pinned_cases(self):
+        x, y = xy()
+        p = x * x * y - 3 * y + 1
+        # the zero polynomial, and a restriction that vanishes
+        assert Poly.zero(2).restrict_segment((1, 2), (3, 4)) == (0,)
+        assert (x - y).restrict_segment((1, 1), (2, 2)) == (0,)
+        # a_i = 0: p(2t, 1 + t) = 1 - 3(1 + t) + 4t^2 (1 + t)
+        assert p.restrict_segment((0, 1), (2, 2)) == (-2, -3, 4, 4)
+        # b_i = a_i: y stays at 2, p(1 + 2t, 2) = 2(1 + 2t)^2 - 5
+        assert p.restrict_segment((1, 2), (3, 2)) == (-3, 8, 8)
+        # a_i = b_i = 0: x stays at 0, interior zeros are kept
+        q = y ** 3 + x * y
+        assert q.restrict_segment((0, 0), (0, Fraction(1, 2))) == (
+            0, 0, 0, Fraction(1, 8))
+        assert q.restrict_segment((0, 0), (0, 0)) == (0,)
+
+    def test_partial_keeps_coefficients_canonical(self):
+        x, y = xy()
+        dx = (Fraction(1, 3) * x ** 3).partial(1)
+        assert dx.terms == {(2, 0): Fraction(1)}
+        ((_, c),) = dx.terms.items()
+        assert (c.numerator, c.denominator) == (1, 1)
+        dy = (Fraction(5, 6) * x ** 2 * y ** 3).partial(2)
+        assert dy.terms == {(2, 2): Fraction(5, 2)}
+        ((_, c),) = dy.terms.items()
+        assert (c.numerator, c.denominator) == (5, 2)
+
 
 class TestDivision:
     def test_exact_division(self):
@@ -255,6 +282,17 @@ def polys(draw, n=2, max_degree=3, max_terms=4):
     return p
 
 
+@st.composite
+def segments(draw):
+    """A sparse poly in n = 0..4 variables and two endpoints, which share
+    coordinates or are zero now and then."""
+    n = draw(st.integers(0, 4))
+    p = draw(polys(n=n, max_terms=6))
+    a = draw(st.tuples(*[small_rationals] * n))
+    b = tuple(draw(st.sampled_from([ai, 0]) | small_rationals) for ai in a)
+    return p, a, b
+
+
 class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(polys(), polys(), polys())
@@ -293,6 +331,21 @@ class TestRingAxioms:
         composed = a.compose(PolyMap([g1, g2]))
         assert composed.eval(point) == a.eval(
             (g1.eval(point), g2.eval(point)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(segments())
+    def test_restrict_segment_matches_eval_on_the_line(self, case):
+        p, a, b = case
+        coeffs = p.restrict_segment(a, b)
+        assert coeffs == (0,) or coeffs[-1] != 0
+        # at most deg + 1 coefficients that agree at deg + 2 points: the
+        # restriction is exactly p on the line
+        assert 1 <= len(coeffs) <= max(p.degree(), 0) + 1
+        for k in range(max(p.degree(), 0) + 2):
+            t = Fraction(k, 3) - Fraction(1, 2)
+            value = sum(c * t ** d for d, c in enumerate(coeffs))
+            assert value == p.eval(tuple(s + t * (e - s)
+                                         for s, e in zip(a, b)))
 
     @settings(max_examples=40, deadline=None)
     @given(polys(), polys())
