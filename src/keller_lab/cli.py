@@ -2,9 +2,10 @@
 
 Every subcommand prints one report object: {command, input_digest, result,
 elapsed_ms}.  Numbers are exact fractions unless --float is given; --format
-csv flattens the result into key,value rows; --plot-data swaps the result
-for a planar grid suitable for external plotting.  Exit codes: 0 success,
-1 domain error, 2 parse/usage error.
+csv flattens the result into key,value rows; --plot-data, where a
+subcommand offers it, swaps the result for a planar grid suitable for
+external plotting.  Exit codes: 0 success, 1 domain error, 2 parse/usage
+error.
 """
 
 from __future__ import annotations
@@ -301,10 +302,17 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--float", action="store_true",
                      help="render numbers as decimals instead of fractions")
-    sub.add_argument("--plot-data", action="store_true",
-                     help="emit a planar grid instead of the usual result")
+
+
+def _add_grid_flag(sub):
     sub.add_argument("--grid", type=int, default=32,
                      help="grid resolution for certification/plots")
+
+
+def _add_plot_flags(sub):
+    sub.add_argument("--plot-data", action="store_true",
+                     help="emit a planar grid instead of the usual result")
+    _add_grid_flag(sub)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -319,6 +327,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _add_map_flags(sub)
         _add_output_flags(sub)
+        if name in ("jacobian", "keller", "inverse"):
+            _add_plot_flags(sub)
 
     sub = subs.add_parser("compose")
     _add_map_flags(sub)
@@ -326,6 +336,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.add_argument("--with-expr", action="append",
                      help="inner map component expression")
     _add_output_flags(sub)
+    _add_plot_flags(sub)
 
     sub = subs.add_parser("inject-sample")
     _add_map_flags(sub)
@@ -345,12 +356,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.add_argument("--radius", default="1")
     sub.add_argument("--gamma-steps", type=int, default=360)
     _add_output_flags(sub)
+    _add_plot_flags(sub)
 
     sub = subs.add_parser("analytic-check")
     sub.add_argument("--coeffs", required=True,
                      help="complex polynomial coefficients c0,c1,...")
     sub.add_argument("--domain", required=True)
     _add_output_flags(sub)
+    _add_grid_flag(sub)
 
     sub = subs.add_parser("pvalent")
     _add_map_flags(sub)
@@ -359,6 +372,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=64)
     sub.add_argument("--seed", type=int, default=0)
     _add_output_flags(sub)
+    _add_grid_flag(sub)
 
     return top
 

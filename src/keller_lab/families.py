@@ -90,10 +90,6 @@ class ZShiftMap(PolyMap):
         self.coeffs = tuple(row[:width] for row in rows)
         self._expanded = None
 
-    @classmethod
-    def from_rank_one(cls, spec: RankOneSpec) -> "ZShiftMap":
-        return cls(spec.coefficient_table())
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -200,7 +196,7 @@ def shear_matrix(n: int) -> RatMatrix:
 
 def rank_one_map(spec: RankOneSpec) -> ZShiftMap:
     """The map X + (alpha_2 z^2 + ... + alpha_m z^m) * gamma."""
-    return ZShiftMap.from_rank_one(spec)
+    return ZShiftMap(spec.coefficient_table())
 
 
 def keller_zshift_map(coeffs: Iterable[Iterable[int | Fraction]]) -> ZShiftMap:

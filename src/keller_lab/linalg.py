@@ -44,13 +44,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls([[_ZERO] * cols for _ in range(rows)])
 
-    @classmethod
-    def column(cls, entries: Sequence[int | Fraction]) -> "RatMatrix":
-        return cls([[e] for e in entries])
-
-    def copy(self) -> "RatMatrix":
-        return RatMatrix([row[:] for row in self.data])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]

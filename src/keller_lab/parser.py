@@ -90,6 +90,15 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 
 
+def _literal(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # longer than int() converts (4300 digits)
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is too long",
+            tok.position) from exc
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = tokenize(text)
@@ -175,15 +184,15 @@ class _Parser:
     def atom(self) -> Poly:
         tok = self.advance()
         if tok.kind == "int":
-            value = Fraction(int(tok.text))
+            value = Fraction(_literal(tok))
             if (self.peek().kind == "slash"
                     and self.tokens[self.index + 1].kind == "int"):
                 self.advance()
                 den_tok = self.advance()
-                den = int(den_tok.text)
+                den = _literal(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.position)
-                value = Fraction(int(tok.text), den)
+                value /= den
             return Poly.const(self.n, value)
         if tok.kind == "name":
             return Poly.variable(self.n, self.variable_index(tok))

@@ -397,32 +397,19 @@ def coordinate_sum(n: int) -> Poly:
 
 
 class ExpansionLimitError(ValueError):
-    """A dense power of the coordinate sum would exceed the configured cap."""
+    """A dense power of the coordinate sum would exceed the expansion cap."""
 
 
 # (x1+...+xn)^k has C(k+n-1, n-1) monomials, so dense expansion is capped.
-_expansion_limit = {"n": 8, "degree": 10}
-
-
-def set_expansion_limit(n: int, degree: int) -> None:
-    """Raise or lower the dense-expansion guard (defaults n=8, degree=10)."""
-    if n < 1 or degree < 1:
-        raise ValueError("expansion limits must be positive")
-    _expansion_limit["n"] = n
-    _expansion_limit["degree"] = degree
-
-
-def get_expansion_limit() -> tuple[int, int]:
-    return _expansion_limit["n"], _expansion_limit["degree"]
+_EXPANSION_MAX_N = 8
+_EXPANSION_MAX_DEGREE = 10
 
 
 def z_power(n: int, k: int) -> Poly:
     """(x1+...+xn)^k expanded into the dense monomial basis, guarded."""
-    if k >= 2:
-        lim_n, lim_deg = get_expansion_limit()
-        if n > lim_n or k > lim_deg:
-            raise ExpansionLimitError(
-                f"refusing to expand a degree-{k} coordinate-sum power in "
-                f"{n} variables (limit n<={lim_n}, degree<={lim_deg}; "
-                "see set_expansion_limit)")
+    if k >= 2 and (n > _EXPANSION_MAX_N or k > _EXPANSION_MAX_DEGREE):
+        raise ExpansionLimitError(
+            f"refusing to expand a degree-{k} coordinate-sum power in "
+            f"{n} variables (limit n<={_EXPANSION_MAX_N}, "
+            f"degree<={_EXPANSION_MAX_DEGREE})")
     return coordinate_sum(n) ** k

@@ -116,6 +116,17 @@ class TestGridEnclosure:
         lo2, hi2, _ = certified_range(p, UNIT_BOX, 16)
         assert lo1 <= lo2 and hi2 <= hi1
 
+    def test_empty_grid_is_an_error(self):
+        # x + y <= -5 misses the unit box: no cell survives
+        empty = ConvexDomain.halfspaces([(0, 1), (0, 1)], [((1, 1), -5)])
+        f = parse_map(["x^2 - y", "y"])
+        for run in (lambda: grid_cells(empty, 4),
+                    lambda: certified_range(f.components[0], empty, 4),
+                    lambda: certify_injective_interval_jacobian(f, empty, 4),
+                    lambda: analytic_pair_check([(0, 0), (1, 0)], empty, 4)):
+            with pytest.raises(ValueError, match="no cells"):
+                run()
+
 
 class TestSegmentMatrix:
     def test_identity_map_gives_identity(self):
@@ -315,6 +326,18 @@ class TestIntervalJacobianCertifier:
             assert lo <= det <= hi
 
 
+def counted_grids(monkeypatch) -> list:
+    """Record the (domain, resolution) of every grid certify builds."""
+    built = []
+
+    def counting(domain, resolution):
+        built.append((domain, resolution))
+        return grid_cells(domain, resolution)
+
+    monkeypatch.setattr(certify, "grid_cells", counting)
+    return built
+
+
 class TestAnalyticPairCheck:
     def test_linear_proven(self):
         cert = analytic_pair_check([(0, 0), (1, 0)], UNIT_BOX)
@@ -341,6 +364,32 @@ class TestAnalyticPairCheck:
         cert = analytic_pair_check([(0, 0), (0, 0), (0, 1)], dom)
         assert cert.status == PROVEN
         assert cert.evidence["partial"] == "v_x"
+
+    def test_vx_proof_evidence_is_pinned(self, monkeypatch):
+        built = counted_grids(monkeypatch)
+        dom = ConvexDomain.box([(Fraction(1, 10), 1), (-1, 1)])
+        cert = analytic_pair_check([(0, 0), (0, 0), (0, 1)], dom)
+        assert cert.evidence == {"partial": "v_x",
+                                 "range": (Fraction(1, 5), Fraction(2)),
+                                 "cells": 1024, "resolution": 32}
+        # u_x failed first; both partials share the one grid
+        assert built == [(dom, 32)]
+
+    def test_inconclusive_ranges_are_pinned(self, monkeypatch):
+        built = counted_grids(monkeypatch)
+        disk = ConvexDomain.ball((0, 0), 1)
+        cert = analytic_pair_check([(0, 0), (0, 0), (1, 0)], disk)
+        assert cert.status == INCONCLUSIVE
+        assert cert.evidence == {
+            "ranges": {"u_x": (Fraction(-2), Fraction(2)),
+                       "v_x": (Fraction(-2), Fraction(2))},
+            "resolution": 32}
+        assert built == [(disk, 32)]
+
+    def test_constant_function_has_zero_partials(self):
+        cert = analytic_pair_check([(3, 1)], UNIT_BOX, 4)
+        assert cert.status == INCONCLUSIVE
+        assert cert.evidence["ranges"] == {"u_x": (0, 0), "v_x": (0, 0)}
 
     def test_planar_only(self):
         with pytest.raises(ValueError):
@@ -411,6 +460,75 @@ class TestShearCheck:
         assert cert.status == PROVEN
         assert cert.evidence["angles_tried"] > 4
 
+    def test_gentle_pair_evidence_is_pinned(self):
+        # criterion 9's proven pair: the second grid angle already clears
+        # the slack 2 * (1/4) * (1/16 + 1/16) of g'' on the 16x16 grid
+        inp = PlanarShearInput(
+            ((0, 0), (1, 0)), ((0, 0), (0, 0), (Fraction(1, 4), 0)))
+        cert = planar_shear_check(inp, resolution=16, gamma_steps=360)
+        assert cert.evidence == {
+            "gamma": (Fraction(3960, 3961), Fraction(89, 3961)),
+            "min_squared_margin": Fraction(4781501857, 8033034752),
+            "cells": 224,
+            "slack": Fraction(1, 16),
+            "angles_tried": 2,
+        }
+
+    def test_square_h_evidence_is_pinned(self):
+        # 360 grid angles, then the 16-angle bracket around the best one
+        inp = PlanarShearInput(((0, 0), (0, 0), (1, 0)), ((0, 0),))
+        cert = planar_shear_check(inp, resolution=16, gamma_steps=360)
+        assert cert.status == INCONCLUSIVE
+        assert cert.evidence == {"angles_tried": 376, "cells": 224,
+                                 "slack": Fraction(1, 4)}
+
+    def test_bracket_evidence_is_pinned(self):
+        inp = PlanarShearInput(((0, 0), (Fraction(3, 5), Fraction(4, 5))),
+                               ((0, 0), (Fraction(17, 20), 0)))
+        cert = planar_shear_check(inp, resolution=8, gamma_steps=4)
+        assert cert.evidence == {
+            "gamma": (Fraction(16, 65), Fraction(-63, 65)),
+            "min_squared_margin": Fraction(8759, 67600),
+            "cells": 60,
+            "slack": Fraction(0),
+            "angles_tried": 13,
+        }
+
+    def test_bracket_follows_the_first_failing_cell(self):
+        # h' points near the diagonal between two grid angles, so which of
+        # them scores best, and so the bracket, depends on the cell order
+        inp = PlanarShearInput(
+            ((0, 0), (Fraction(20, 29), Fraction(21, 29)),
+             (Fraction(1, 64), Fraction(1, 64))),
+            ((0, 0), (Fraction(3, 4), 0)))
+        cert = planar_shear_check(inp, resolution=8, gamma_steps=4)
+        assert cert.evidence == {
+            "gamma": (Fraction(7, 25), Fraction(-24, 25)),
+            "min_squared_margin": Fraction(1023859609, 8611840000),
+            "cells": 60,
+            "slack": Fraction(1, 64),
+            "angles_tried": 7,
+        }
+
+    def test_margin_grid_subtracts_only_the_h_slack(self):
+        # h'' = 2 * (1/8 + i/16) gives the h slack 2 * (3/16) * (1/4 + 1/4);
+        # g'' = 1/2 must not enter the plotted margin
+        inp = PlanarShearInput(
+            ((0, 0), (1, 0), (Fraction(1, 8), Fraction(1, 16))),
+            ((0, 0), (0, 0), (Fraction(1, 4), 0)))
+        gamma = (Fraction(3, 5), Fraction(4, 5))
+        rows = shear_margin_grid(inp, 4, gamma)
+        quarters = [Fraction(k, 4) for k in (-3, -1, 1, 3)]
+        assert [(x, y) for x, y, _ in rows] == [
+            (x, y) for x in quarters for y in quarters]
+        assert [m * 160 for _, _, m in rows] == [
+            93, 71, 49, 27, 97, 75, 53, 31, 101, 79, 57, 35, 105, 83, 61, 39]
+        for x, y, margin in rows:
+            h_re = 1 + Fraction(1, 4) * x - Fraction(1, 8) * y
+            h_im = Fraction(1, 8) * x + Fraction(1, 4) * y
+            assert margin == (gamma[0] * h_re - gamma[1] * h_im
+                              - Fraction(3, 16))
+
     def test_radius_respected(self):
         # g' = z/4 exceeds 1 eventually: big disks defeat the margin
         inp = PlanarShearInput(
@@ -451,3 +569,40 @@ class TestPValenceBound:
     def test_empty_pieces_rejected(self):
         with pytest.raises(ValueError):
             pvalent_bound(PolyMap.identity(2), [])
+
+    @pytest.mark.parametrize("f", [
+        keller_zshift_map([[-11, -13], [6, 9], [5, 4]]),
+        parse_map(["x^2", "y"]),
+    ])
+    def test_piece_dimension_checked_before_any_certifier(self, monkeypatch,
+                                                         f):
+        ran = []
+        for name in ("certify_injective_zshift",
+                     "certify_injective_interval_jacobian",
+                     "certify_injective_sampling"):
+            monkeypatch.setattr(certify, name,
+                                lambda *args, name=name: ran.append(name))
+        cube = ConvexDomain.box([(-1, 1)] * 3)
+        # the first piece fits the map, the second does not
+        pieces = [cube, UNIT_BOX] if f.n == 3 else [UNIT_BOX, cube]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pvalent_bound(f, pieces)
+        assert ran == []
+
+    def test_family_map_is_proved_once_per_call(self, monkeypatch):
+        f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
+        proofs = []
+
+        def counting(g):
+            proofs.append(g)
+            return certify_injective_zshift(g)
+
+        monkeypatch.setattr(certify, "certify_injective_zshift", counting)
+        halves = [ConvexDomain.box([(-1, 0), (-1, 1), (-1, 1)]),
+                  ConvexDomain.box([(0, 1), (-1, 1), (-1, 1)])]
+        res = pvalent_bound(f, halves)
+        assert proofs == [f]
+        assert res.bound == 2
+        single = certify_injective_zshift(f)
+        assert [(c.status, c.evidence) for c in res.certificates] == [
+            (single.status, single.evidence)] * 2

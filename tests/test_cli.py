@@ -218,6 +218,24 @@ class TestExitCodes:
         assert "exceeds the limit" in captured.err
         assert elapsed < 5
 
+    def test_overlong_literal_is_two(self, capsys):
+        code = cli.main(["keller", "--expr", "x + " + "9" * 5000,
+                         "--expr", "y"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "5000 digits is too long (at position 4)" in captured.err
+
+    def test_pvalent_piece_of_wrong_dimension_is_one(self, capsys, data_dir):
+        # a 3-variable family map against a planar piece
+        code = cli.main(["pvalent", "--map",
+                         str(data_dir / "example_family.txt"),
+                         "--piece", "box:-1,1;-1,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "dimension mismatch" in captured.err
+
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
         code = cli.main(["keller", "--expr", "-x", "--expr", "y",
@@ -270,6 +288,36 @@ class TestOutputModes:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "x,y,f1,f2"
         assert len(lines) == 17
+
+
+PLANAR = ["--expr", "x", "--expr", "y"]
+# subcommands that read neither --plot-data nor --grid, then those that
+# read --grid only
+NO_GRID = [
+    ["decompose", "--map", "{family}"],
+    ["member", "--map", "{family}"],
+    ["normal-form-2d", "--expr", "x + 2*y^3", "--expr", "y"],
+    ["inject-symbolic", "--map", "{family}"],
+    ["inject-sample", *PLANAR, "--domain", "box:-1,1;-1,1"],
+]
+GRID_ONLY = [
+    ["analytic-check", "--coeffs", "0,1", "--domain", "box:-1,1;-1,1"],
+    ["pvalent", *PLANAR, "--piece", "box:-1,1;-1,1", "--grid", "8"],
+]
+
+
+@pytest.mark.parametrize("argv, flag", (
+    [(argv, ["--plot-data"]) for argv in NO_GRID + GRID_ONLY]
+    + [(argv, ["--grid", "8"]) for argv in NO_GRID]))
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, data_dir,
+                                                     argv, flag):
+    argv = [a.format(family=data_dir / "example_family.txt") for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 class TestConsoleScript:

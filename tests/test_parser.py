@@ -148,6 +148,15 @@ class TestExpressionErrors:
             parse_map([f"y + x^{exponent}", "y"])
         assert info.value.position == len("y + x^")
 
+    @pytest.mark.parametrize("text", ["x + " + "9" * 5000,
+                                      "x + 1/" + "9" * 5000,
+                                      "x + 7*" + "9" * 5000 + "/3"])
+    def test_overlong_literal_rejected(self, text):
+        # int() refuses more than 4300 digits; that is a syntax error here
+        with pytest.raises(ParseError, match="5000 digits is too long") as info:
+            parse_map([text, "y"])
+        assert info.value.position == text.index("9")
+
 
 class TestRoundTrip:
     def test_canonical_string_reparses(self):

@@ -12,9 +12,7 @@ from keller_lab.poly import (
     PolyMap,
     as_rational,
     coordinate_sum,
-    get_expansion_limit,
     grlex_key,
-    set_expansion_limit,
     z_power,
 )
 
@@ -240,26 +238,18 @@ class TestPolyMap:
 
 
 class TestExpansionGuard:
-    def test_limits_are_configurable(self):
-        old_n, old_deg = get_expansion_limit()
-        try:
-            set_expansion_limit(n=2, degree=3)
-            with pytest.raises(ExpansionLimitError):
-                z_power(3, 2)
-            with pytest.raises(ExpansionLimitError):
-                z_power(2, 4)
-            assert z_power(2, 3).degree() == 3
-        finally:
-            set_expansion_limit(old_n, old_deg)
+    def test_default_limits_refuse_large_powers(self):
+        # the caps are n <= 8 variables and degree <= 10
+        with pytest.raises(ExpansionLimitError):
+            z_power(9, 2)
+        with pytest.raises(ExpansionLimitError):
+            z_power(2, 11)
+        assert z_power(8, 2).degree() == 2
+        assert z_power(2, 10).degree() == 10
 
     def test_linear_powers_are_never_guarded(self):
-        old_n, old_deg = get_expansion_limit()
-        try:
-            set_expansion_limit(n=2, degree=2)
-            assert z_power(9, 1).degree() == 1
-            assert z_power(9, 0) == 1
-        finally:
-            set_expansion_limit(old_n, old_deg)
+        assert z_power(9, 1).degree() == 1
+        assert z_power(9, 0) == 1
 
     def test_z_power_matches_direct_expansion(self):
         assert z_power(3, 4) == coordinate_sum(3) ** 4
