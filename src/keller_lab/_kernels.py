@@ -1,4 +1,5 @@
-"""The term-dict kernels that ``poly`` calls, re-exported from ``_purepoly``.
+"""The term-dict kernels that the package calls, re-exported from
+``_purepoly``.
 
 This module is kept, not folded into ``_purepoly``, because the benchmark's
 tracer (``perfbench/tracing.py``) wraps the bindings here as well as those in
@@ -14,5 +15,6 @@ from keller_lab._purepoly import (  # noqa: F401
     mul_terms,
     pow_terms,
     scale_terms,
+    segment_moments,
     sub_terms,
 )

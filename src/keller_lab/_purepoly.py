@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 IMPLEMENTATION = "pure"
 
@@ -149,6 +150,48 @@ def pow_terms(a: dict, k: int, n: int) -> dict:
     return _unpacked(out, base, n, den ** k)
 
 
+def _products(monos, packed: list) -> Iterator[tuple[tuple, dict]]:
+    """Yield (m, product of packed[i]**m[i]) for every monomial m of monos.
+
+    ``monos`` is a dict or set of exponent tuples, one slot per packed
+    factor.  The monomials form a trie: the parent of a monomial is the
+    same monomial with its last nonzero exponent lowered by one, so each
+    product is its parent's product times one packed factor, a big*small
+    convolution.  The trie is walked depth first with an explicit stack (a
+    degree-1500 monomial must not recurse 1500 deep), and only the products
+    on the path from the root are kept alive.  The caller's packing base
+    must exceed every product's degree.  A yielded product may hold zero
+    numerators and must not be mutated: its children are built from it.
+    """
+    # children[m]: (child, i) pairs with child = m + e_i in the trie
+    children: dict = {}
+    placed = set()
+    for mono in monos:
+        while mono not in placed and any(mono):
+            placed.add(mono)
+            last = max(i for i, e in enumerate(mono) if e)
+            parent = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+            children.setdefault(parent, []).append((mono, last))
+            mono = parent
+
+    root = (0,) * len(packed)
+    one = {0: 1}
+    if root in monos:
+        yield root, one
+    stack = [(one, children[root])] if root in children else []
+    while stack:
+        product, todo = stack[-1]
+        child, i = todo.pop()
+        if not todo:  # the parent's last child: its product can go
+            stack.pop()
+        product = _convolve(product, packed[i])
+        if child in monos:
+            yield child, product
+        kids = children.get(child)
+        if kids:
+            stack.append((product, kids))
+
+
 def compose_terms(outer: dict, components: list, n: int) -> dict:
     """Term dict of outer with x_i replaced by components[i], expanded.
 
@@ -160,12 +203,8 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
       (inner degree at least 1), which exceeds the degree of every partial
       product, and scaled to integer numerators over ``D``, the LCM of all
       the components' denominators.
-    * The outer monomials form a trie: the parent of a monomial is the same
-      monomial with its last nonzero exponent lowered by one, so each
-      product is its parent's product times one packed component, a
-      big*small convolution.  The trie is walked depth first with an
-      explicit stack (a degree-1500 outer must not recurse 1500 deep), and
-      only the products on the path from the root are kept alive.
+    * One trie walk (``_products``) builds each outer monomial's product
+      from its parent's.
     * Each product is added, scaled by ``c.numerator * (Q / c.denominator)
       * D**(deg - |m|)``, into one int-keyed accumulator over the shared
       denominator ``Q * D**deg``, where ``Q`` is the LCM of outer's
@@ -183,44 +222,48 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
     q = lcm(*[coeff.denominator for coeff in outer.values()])
     shared_pows = [shared ** k for k in range(deg + 1)]
 
-    # children[m]: (child, i) pairs with child = m + e_i in the trie
-    children: dict = {}
-    placed = set()
-    for mono in outer:
-        while mono not in placed and any(mono):
-            placed.add(mono)
-            last = max(i for i, e in enumerate(mono) if e)
-            parent = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-            children.setdefault(parent, []).append((mono, last))
-            mono = parent
-
     acc: dict = {}
     get = acc.get
-
-    def add(mono: tuple, product: dict) -> None:
-        coeff = outer.get(mono)
-        if coeff is None:
-            return
+    for mono, product in _products(outer, packed):
+        coeff = outer[mono]
         s = (coeff.numerator * (q // coeff.denominator)
              * shared_pows[deg - sum(mono)])
         for key, num in product.items():
             acc[key] = get(key, 0) + s * num
-
-    root = (0,) * len(components)
-    one = {0: 1}
-    add(root, one)
-    stack = [(one, children[root])] if root in children else []
-    while stack:
-        product, todo = stack[-1]
-        child, i = todo.pop()
-        if not todo:  # the parent's last child: its product can go
-            stack.pop()
-        product = _convolve(product, packed[i])
-        add(child, product)
-        kids = children.get(child)
-        if kids:
-            stack.append((product, kids))
     return _unpacked(acc, base, n, q * shared_pows[deg])
+
+
+def segment_moments(monos, start: tuple, end: tuple) -> tuple[dict, int]:
+    """Integrals of monomials along the segment from start to end.
+
+    Returns ``({m: numerator}, unit)`` where numerator / unit is the moment
+    ``M(m) = integral over [0, 1] of prod_k (a_k + t(b_k - a_k))**m_k dt``
+    for every monomial m of ``monos`` (a dict or set of exponent tuples,
+    one slot per coordinate of the rational points start = a, end = b).
+    All moments share the one unit ``lcm(1..d+1) * D**d``, where d is the
+    largest degree among ``monos`` and D the LCM of the line's
+    denominators.  The line's factors ``a_k + (b_k - a_k) t`` are scaled to
+    integers over D; one trie walk (``_products``) builds each monomial's
+    univariate product in t from its parent's, and ``c_j t^j`` integrates
+    to ``c_j * (lcm(1..d+1) / (j+1))`` on ints.
+    """
+    if not monos:
+        return {}, 1
+    deg = _degree(monos)
+    line = [{k: c for k, c in ((0, a), (1, b - a)) if c}
+            for a, b in zip(start, end)]
+    den = lcm(*[c.denominator for g in line for c in g.values()])
+    # a univariate packed key is the exponent of t itself
+    packed = [{k: c.numerator * (den // c.denominator) for k, c in g.items()}
+              for g in line]
+    unit_t = lcm(*range(1, deg + 2))
+    weights = [unit_t // (j + 1) for j in range(deg + 1)]
+    den_pows = [den ** k for k in range(deg + 1)]
+    out = {}
+    for mono, product in _products(monos, packed):
+        total = sum(num * weights[j] for j, num in product.items())
+        out[mono] = total * den_pows[deg - sum(mono)]
+    return out, unit_t * den_pows[deg]
 
 
 def eval_terms(a: dict, point: tuple) -> Fraction:

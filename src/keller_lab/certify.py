@@ -3,8 +3,10 @@
 The central tool is the segment-averaged Jacobian: for X1 != X2 the matrix
 with entries a_ij = integral over [0,1] of (d f_j / d x_i)(X1 + t(X2-X1))
 satisfies f(X2) - f(X1) = A^T (X2 - X1), so f is injective on a convex
-domain whenever every such matrix is nonsingular.  Entries are univariate
-polynomial integrals, computed exactly.
+domain whenever every such matrix is nonsingular.  The integral is linear
+in f, so the entries come from segment moments, the exact integrals of the
+map's monomials along the segment (one kernel call per segment), with no
+Jacobian built.
 
 Three certifier flavours, in decreasing strength:
   * closed-form family identities (z-shift maps with zero column sums)
@@ -26,11 +28,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
+from keller_lab import _kernels
 from keller_lab.families import ZShiftMap
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import PolyMatrix, RatMatrix
+from keller_lab.linalg import RatMatrix
 from keller_lab.poly import ExpansionLimitError, Poly, PolyMap, as_rational
 
 _ZERO = Fraction(0)
@@ -42,6 +46,8 @@ Interval = tuple[Fraction, Fraction]
 PROVEN = "proven-injective"
 WITNESS = "failure-witness"
 INCONCLUSIVE = "inconclusive"
+
+BAD_RESOLUTION = "grid resolution must be at least 1"
 
 
 @dataclass
@@ -156,7 +162,7 @@ def grid_cells(domain: ConvexDomain, resolution: int
     Lipschitz slack.  A grid with no cell meeting the domain is an error.
     """
     if resolution < 1:
-        raise ValueError("grid resolution must be at least 1")
+        raise ValueError(BAD_RESOLUTION)
     widths = [(hi - lo) / resolution for lo, hi in domain.bounds]
     halves = tuple(w / 2 for w in widths)
     centers = []
@@ -213,24 +219,42 @@ def segment_matrix(f: PolyMap, x1: Sequence, x2: Sequence) -> RatMatrix:
         raise ValueError("dimension mismatch")
     if a == b:
         raise ValueError("segment endpoints must differ")
-    return _segment_matrix(jacobian_matrix(f), a, b)
+    return _segment_matrix(f, a, b)
 
 
-def _segment_matrix(jm: PolyMatrix, a: Point, b: Point) -> RatMatrix:
-    """segment_matrix from the Jacobian matrix jm of the map.
+def _segment_matrix(f: PolyMap, a: Point, b: Point) -> RatMatrix:
+    """segment_matrix of f from the segment moments of its monomials.
 
-    a and b are distinct rational points of the map's dimension.  Callers
-    that integrate many segments of one map build jm once per call.
+    a and b are distinct rational points of the map's dimension.  The
+    integral is linear in f: with M(e) the integral of x^e along the
+    segment and c_j(e) the coefficient of x^e in f_j,
+    a_ij = sum_e c_j(e) * e_i * M(e - e_i).  One segment_moments call gives
+    every M over one shared unit, so each entry is one integer sum over
+    f_j's LCM denominator and one Fraction.
     """
-    entries = []
-    for i in range(jm.rows):
-        row = []
-        for j in range(jm.cols):
-            coeffs = jm[i, j].restrict_segment(a, b)
-            row.append(sum((c / (d + 1) for d, c in enumerate(coeffs)),
-                           _ZERO))
-        entries.append(row)
-    return RatMatrix(entries)
+    comps = [comp.terms for comp in f.components]
+    # (i, e_i, e - e_i) per distinct monomial: family maps share them all
+    lowered: dict = {}
+    for terms in comps:
+        for mono in terms:
+            if mono not in lowered:
+                lowered[mono] = [(i, e, mono[:i] + (e - 1,) + mono[i + 1:])
+                                 for i, e in enumerate(mono) if e]
+    moments, unit = _kernels.segment_moments(
+        {low for lows in lowered.values() for _, _, low in lows}, a, b)
+    # d x^e / d x_i integrates to e_i * M(e - e_i) / unit
+    weights = {mono: [(i, e * moments[low]) for i, e, low in lows]
+               for mono, lows in lowered.items()}
+    columns = []
+    for terms in comps:
+        q = lcm(*[c.denominator for c in terms.values()])
+        sums = [0] * f.n
+        for mono, c in terms.items():
+            num = c.numerator * (q // c.denominator)
+            for i, w in weights[mono]:
+                sums[i] += num * w
+        columns.append([Fraction(s, q * unit) for s in sums])
+    return RatMatrix(list(zip(*columns)))
 
 
 def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
@@ -250,7 +274,7 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
     rng = random.Random(seed)
-    jm = jacobian_matrix(f)
+    f.components  # a family map expands here, before any pair is sampled
     min_abs: Fraction | None = None
     for tested in range(1, trials + 1):
         x1 = sample_point(domain, rng, denom_bits)
@@ -261,7 +285,7 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
             if retries > 100:
                 raise ValueError("domain too small to sample distinct pairs")
             x2 = sample_point(domain, rng, denom_bits)
-        det = _segment_matrix(jm, x1, x2).det()
+        det = _segment_matrix(f, x1, x2).det()
         if det == 0:
             v1, v2 = f.eval(x1), f.eval(x2)
             if v1 == v2:
@@ -300,11 +324,10 @@ def certify_injective_zshift(f: ZShiftMap) -> Certificate:
         raise AssertionError("family determinant identity failed")
     spot_pairs = 0
     try:
-        jm = jacobian_matrix(f)
         for shift in (1, 2):
             x1 = tuple(Fraction(k + shift, 3) for k in range(f.n))
             x2 = tuple(Fraction(-k - 2 * shift, 5) for k in range(f.n))
-            if _segment_matrix(jm, x1, x2).det() != 1:
+            if _segment_matrix(f, x1, x2).det() != 1:
                 raise AssertionError("segment determinant left the identity")
             spot_pairs += 1
     except ExpansionLimitError:

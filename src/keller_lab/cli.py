@@ -130,6 +130,8 @@ def parse_complex_coeffs(text: str) -> list[tuple[Fraction, Fraction]]:
 def _plot_data_for_map(f: PolyMap, resolution: int) -> dict:
     if f.n != 2:
         raise ValueError("plot data needs a two-variable map")
+    if resolution < 1:
+        raise ValueError(certify.BAD_RESOLUTION)
     rows = []
     for i in range(resolution):
         for j in range(resolution):
@@ -244,7 +246,11 @@ def _cmd_inject_symbolic(args):
 def _cmd_shear_check(args):
     h = parse_complex_coeffs(args.h)
     g = parse_complex_coeffs(args.g) if args.g else [(Fraction(0), Fraction(0))]
-    inp = certify.PlanarShearInput(tuple(h), tuple(g), Fraction(args.radius))
+    try:
+        radius = Fraction(args.radius.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad radius {args.radius.strip()!r}", 0) from exc
+    inp = certify.PlanarShearInput(tuple(h), tuple(g), radius)
     digest = _digest(repr(inp.h), repr(inp.g), str(inp.radius))
     cert = certify.planar_shear_check(inp, args.grid, args.gamma_steps)
     if args.plot_data:

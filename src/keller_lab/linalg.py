@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from keller_lab.poly import Poly, PolyMap, as_rational
@@ -75,12 +76,12 @@ class RatMatrix:
                           for j in range(self.cols)])
 
     def rank(self) -> int:
-        return len(_rref(list(self.data), self.cols)[0])
+        return len(_rref(self.data, self.cols)[0])
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        pivots, sign, product = _rref(list(self.data), self.cols)
+        pivots, sign, product, _, _ = _rref(self.data, self.cols)
         return sign * product if len(pivots) == self.rows else _ZERO
 
     def inverse(self) -> "RatMatrix":
@@ -89,9 +90,10 @@ class RatMatrix:
         n = self.rows
         m = [row + [_ONE if i == j else _ZERO for j in range(n)]
              for i, row in enumerate(self.data)]
-        if len(_rref(m, n)[0]) < n:
+        pivots, _, _, rows, den = _rref(m, n)
+        if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return RatMatrix([row[n:] for row in m])
+        return RatMatrix([[Fraction(x, den) for x in row[n:]] for row in rows])
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]"
@@ -101,41 +103,57 @@ class RatMatrix:
         return f"RatMatrix({self.data!r})"
 
 
-def _rref(m: list[list[Fraction]], k: int) -> tuple[list[int], int, Fraction]:
-    """Reduce the first k columns of the row list m to RREF, in place.
+def _rref(m: Sequence[Sequence[Fraction]], k: int
+          ) -> tuple[list[int], int, Fraction, list[list[int]], int]:
+    """Reduce the first k columns of the rows m to RREF, fraction free.
 
-    Gauss-Jordan elimination: each pivot row is scaled to a leading one and
-    its column cleared above and below.  Row operations span whole rows, so
+    Each row is scaled to integers by the LCM of its denominators.  Each
+    pivot step then sets row_i = (p * row_i - row_i[c] * pivot_row) // den
+    for every other row, where p is the new pivot and den the one before it
+    (1 at the first step): Bareiss-style Gauss-Jordan (Nakos, Turner &
+    Williams, SIGSAM Bull. 1997).  Every entry stays a minor of the scaled
+    matrix, so each division is exact, and in the end every pivot row holds
+    the last pivot in its pivot column.  Row operations span whole rows, so
     columns past k (a right-hand side, an identity block) are carried
-    along.  Rows are replaced in m, never mutated, so m may share its rows
-    with a matrix that must stay unchanged.  Returns the pivot columns, the
-    sign of the row swaps and the product of the pivots before scaling; for
-    a square matrix of full rank the determinant is sign * product.
+    along; m itself is left unchanged.
+
+    Returns (pivots, sign, product, rows, den): the pivot columns, the sign
+    of the row swaps, the product of the pivots of the same elimination on
+    the rationals (for a square matrix of full rank the determinant is
+    sign * product), the integer rows and the last pivot den.  For i below
+    the rank, rows[i] / den is row i of the RREF; the rows past the rank
+    are zero in the first k columns and nonzero past them exactly where the
+    rational elimination leaves a nonzero entry.
     """
-    rows = len(m)
+    scales = []
+    rows = []
+    for row in m:
+        scale = lcm(*[x.denominator for x in row])
+        scales.append(scale)
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
-    sign, product = 1, _ONE
+    sign, den = 1, 1
     for c in range(k):
         r = len(pivots)
-        if r == rows:
+        if r == len(rows):
             break
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
             sign = -sign
-        pivot = m[r][c]
-        product *= pivot
-        # zeros are skipped: Fraction arithmetic dominates the cost
-        m[r] = [x / pivot if x else x for x in m[r]]
-        for i in range(rows):
-            factor = m[i][c]
-            if i != r and factor:
-                m[i] = [x - factor * y if y else x
-                        for x, y in zip(m[i], m[r])]
+        top = rows[r]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                factor = row[c]
+                rows[i] = [(pivot * x - factor * y) // den
+                           for x, y in zip(row, top)]
+        den = pivot
         pivots.append(c)
-    return pivots, sign, product
+    return pivots, sign, Fraction(den, prod(scales[:len(pivots)])), rows, den
 
 
 @dataclass(frozen=True)
@@ -166,13 +184,13 @@ def rat_solve(a: RatMatrix, b: Sequence[int | Fraction]) -> SolveResult:
         raise ValueError("right-hand side length does not match row count")
     cols = a.cols
     m = [row + [as_rational(b[i])] for i, row in enumerate(a.data)]
-    pivots, _, _ = _rref(m, cols)
+    pivots, _, _, rows, den = _rref(m, cols)
     rank = len(pivots)
-    if any(row[cols] for row in m[rank:]):
+    if any(row[cols] for row in rows[rank:]):
         return SolveResult(None, (), rank)
     solution = [_ZERO] * cols
     for i, c in enumerate(pivots):
-        solution[c] = m[i][cols]
+        solution[c] = Fraction(rows[i][cols], den)
     basis = []
     for c in range(cols):
         if c in pivots:
@@ -180,7 +198,7 @@ def rat_solve(a: RatMatrix, b: Sequence[int | Fraction]) -> SolveResult:
         vec = [_ZERO] * cols
         vec[c] = _ONE
         for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][c]
+            vec[pc] = Fraction(-rows[i][c], den)
         basis.append(tuple(vec))
     return SolveResult(tuple(solution), tuple(basis), rank)
 

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from keller_lab import certify
+from keller_lab import _kernels, certify, jacobian
 from keller_lab.certify import (
     INCONCLUSIVE,
     PROVEN,
@@ -128,6 +129,39 @@ class TestGridEnclosure:
                 run()
 
 
+def integrated_partials(f, a, b):
+    """Oracle: a_ij from Poly.partial, then restrict_segment, then the sum
+    of c_d / (d + 1) over the restricted coefficients."""
+    return RatMatrix([[sum((c / (d + 1) for d, c in enumerate(
+        f.components[j].partial(i + 1).restrict_segment(a, b))), Fraction(0))
+        for j in range(f.n)] for i in range(f.n)])
+
+
+_coefficients = st.fractions(min_value=-20, max_value=20,
+                             max_denominator=7).filter(bool)
+# zero coordinates and denominators that share no factor
+_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+def _maps_and_segments(n):
+    """A map whose components are empty, constant or up to five terms of
+    degree <= 3 per variable, and a segment whose end repeats some start
+    coordinates (None)."""
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    component = st.one_of(
+        st.just({}),
+        _coefficients.map(lambda c: {(0,) * n: c}),
+        st.dictionaries(exponents, _coefficients, min_size=1, max_size=5))
+    return st.tuples(st.tuples(*[component] * n),
+                     st.tuples(*[_coordinates] * n),
+                     st.tuples(*[st.one_of(st.none(), _coordinates)] * n))
+
+
+segment_cases = st.integers(1, 4).flatmap(_maps_and_segments)
+
+
 class TestSegmentMatrix:
     def test_identity_map_gives_identity(self):
         f = PolyMap.identity(3)
@@ -162,6 +196,25 @@ class TestSegmentMatrix:
             moved = a.transpose().apply(delta)
             assert moved == tuple(q - p for p, q
                                   in zip(f.eval(x1), f.eval(x2)))
+
+    @settings(deadline=None)
+    @given(case=segment_cases)
+    @example(case=(({}, {(0, 0): Fraction(3)}),
+                   (Fraction(0), Fraction(1, 2)), (Fraction(1), None)))
+    @example(case=(({(3,): Fraction(1, 5), (1,): Fraction(-2)},),
+                   (Fraction(0),), (Fraction(-2, 3),)))
+    def test_moments_match_integrated_partials(self, case):
+        terms, x1, ends = case
+        x2 = tuple(p if q is None else q for p, q in zip(x1, ends))
+        assume(x1 != x2)
+        n = len(terms)
+        f = PolyMap(Poly(n, t) for t in terms)
+        a = segment_matrix(f, x1, x2)
+        assert a == integrated_partials(f, x1, x2)
+        # mean-value identity: f(x2) - f(x1) = A^T (x2 - x1)
+        delta = tuple(q - p for p, q in zip(x1, x2))
+        assert a.transpose().apply(delta) == tuple(
+            v - u for u, v in zip(f.eval(x1), f.eval(x2)))
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
@@ -223,36 +276,50 @@ class TestSamplingCertifier:
         assert cert.status != PROVEN
 
 
-def counted_jacobians(monkeypatch) -> list:
-    """Record every map whose Jacobian matrix certify builds."""
-    built = []
+def forbid_jacobians(monkeypatch) -> list:
+    """Make every Jacobian, partial or segment restriction raise, and record
+    the segments whose moments certify integrates."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("segment matrices must not build a Jacobian")
 
-    def counting(f):
-        built.append(f)
-        return jacobian_matrix(f)
+    for owner, name in ((certify, "jacobian_matrix"),
+                        (jacobian, "jacobian_matrix"),
+                        (Poly, "partial"), (Poly, "restrict_segment")):
+        monkeypatch.setattr(owner, name, forbidden)
+    segments = []
+    real = _kernels.segment_moments
 
-    monkeypatch.setattr(certify, "jacobian_matrix", counting)
-    return built
+    def counting(monos, start, end):
+        segments.append((start, end))
+        return real(monos, start, end)
+
+    monkeypatch.setattr(_kernels, "segment_moments", counting)
+    return segments
 
 
-class TestOneJacobianPerCall:
-    def test_sampling_builds_the_jacobian_once(self, monkeypatch):
+class TestNoJacobianPerCall:
+    def test_sampling_builds_no_jacobian(self, monkeypatch):
         f = parse_map(["x + y^2", "y"])
         plain = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
-        built = counted_jacobians(monkeypatch)
+        segments = forbid_jacobians(monkeypatch)
         counted = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
-        assert built == [f]
         assert counted.evidence == plain.evidence
-        # a second call builds its own: nothing is kept across calls
-        certify_injective_sampling(f, UNIT_BOX, trials=3, seed=1)
-        assert built == [f, f]
+        assert len(segments) == 12
+        # a second call repeats the work: nothing is kept across calls
+        again = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
+        assert again.evidence == plain.evidence
+        assert segments[12:] == segments[:12]
 
-    def test_zshift_spot_pairs_share_one_jacobian(self, monkeypatch):
+    def test_zshift_spot_pairs_build_no_jacobian(self, monkeypatch):
         f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
-        built = counted_jacobians(monkeypatch)
+        plain = certify_injective_zshift(f)
+        segments = forbid_jacobians(monkeypatch)
         cert = certify_injective_zshift(f)
+        assert cert.evidence == plain.evidence
         assert cert.evidence["spot_pairs_checked"] == 2
-        assert built == [f]
+        assert len(segments) == 2
+        certify_injective_zshift(f)
+        assert segments[2:] == segments[:2]
 
 
 class TestSymbolicZshiftCertifier:

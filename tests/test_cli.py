@@ -236,6 +236,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert "dimension mismatch" in captured.err
 
+    @pytest.mark.parametrize("radius", ["1/0", "abc"])
+    def test_bad_radius_is_two(self, capsys, radius):
+        code = cli.main(["shear-check", "--h", "0,1", "--radius", radius])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad radius {radius!r}")
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["jacobian", "--expr", "x^2", "--expr", "y"],
+        ["compose", "--expr", "x", "--expr", "y", "--with-expr", "x",
+         "--with-expr", "y"],
+    ])
+    def test_plot_grid_below_one_is_one(self, capsys, argv, grid):
+        code = cli.main(argv + ["--plot-data", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: grid resolution must be at least 1\n"
+
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
         code = cli.main(["keller", "--expr", "-x", "--expr", "y",

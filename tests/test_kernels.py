@@ -1,6 +1,7 @@
 """Contracts of the term-dict kernels, checked against independent oracles."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +92,25 @@ def compositions(n):
 
 compose_cases = st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.just(n), compositions(n)))
+
+
+def line_moment(kernel, mono, start, end):
+    """Oracle: prod (a_k + (b_k - a_k) t)**e_k expanded with pow_terms and
+    mul_terms, then c_j t^j integrated over [0, 1] to c_j / (j + 1)."""
+    product = {(0,): Fraction(1)}
+    for a, b, e in zip(start, end, mono):
+        line = {k: c for k, c in (((0,), a), ((1,), b - a)) if c}
+        product = kernel.mul_terms(product, kernel.pow_terms(line, e, 1))
+    return sum((c / (j + 1) for (j,), c in product.items()), Fraction(0))
+
+
+# monomials of degree <= 16 and a segment whose end repeats some start
+# coordinates (None) and may start or end at zero
+segment_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.sets(st.tuples(*[st.integers(0, 4)] * n), max_size=8),
+    st.tuples(*[coordinates] * n),
+    st.tuples(*[st.one_of(st.none(), coordinates)] * n)))
+
 
 # pow operands: empty, constant, cancelling (x - y), coprime denominators
 POW_OPERANDS = [
@@ -277,3 +297,37 @@ class TestKernelContracts:
         got = kernel.compose_terms({(1500,): Fraction(1)}, [g], 1)
         assert got == kernel.pow_terms(g, 1500, 1)
         assert len(got) == 1501
+
+    @settings(deadline=None)
+    @given(case=segment_cases)
+    @example(case=(set(), (Fraction(1),), (None,)))
+    @example(case=({(0, 0), (2, 1)}, (Fraction(0), Fraction(1, 3)),
+                   (Fraction(1, 2), None)))
+    def test_segment_moments_match_expanded_lines(self, kernel, case):
+        monos, start, ends = case
+        end = tuple(a if b is None else b for a, b in zip(start, ends))
+        moments, unit = kernel.segment_moments(monos, start, end)
+        assert set(moments) == monos
+        for mono in monos:
+            assert (Fraction(moments[mono], unit)
+                    == line_moment(kernel, mono, start, end))
+        # one shared unit: lcm(1..d+1) * D**d
+        deg = max((sum(mono) for mono in monos), default=0)
+        den = lcm(*[c.denominator for a, b in zip(start, end)
+                    for c in (a, b - a)])
+        assert unit == lcm(*range(1, deg + 2)) * den ** deg
+
+    def test_segment_moments_pinned(self, kernel):
+        half = Fraction(1, 2)
+        # x^2 on [-1, 1] gives 1/3; x*y along x = t, y = 1 - t gives 1/6;
+        # the empty monomial integrates to 1 and a zero line to 0
+        cases = [({(2,)}, (Fraction(-1),), (Fraction(1),),
+                  {(2,): Fraction(1, 3)}),
+                 ({(1, 1), (0, 0)}, (Fraction(0), Fraction(1)),
+                  (Fraction(1), Fraction(0)),
+                  {(1, 1): Fraction(1, 6), (0, 0): Fraction(1)}),
+                 ({(0, 3), (1, 0)}, (half, Fraction(0)), (half, Fraction(0)),
+                  {(0, 3): Fraction(0), (1, 0): half})]
+        for monos, start, end, want in cases:
+            moments, unit = kernel.segment_moments(monos, start, end)
+            assert {m: Fraction(v, unit) for m, v in moments.items()} == want
