@@ -15,7 +15,11 @@ Three certifier flavours, in decreasing strength:
     domains.  Each check builds one grid (grid_cells); _enclose widens a
     polynomial's cell-centre values by a Lipschitz slack from coefficient
     bounds; the harmonic shear widens h' and g' by second-derivative
-    bounds instead;
+    bounds instead.  The grid is an integer lattice: every cell centre is
+    X/unit for an integer point X and one integer unit per grid, so the
+    cell tests, the polynomial values and the shear scan run on ints, and
+    a Fraction is built only for a bound or margin that is reported.  A
+    grid, and a shear scan's angle list, holds at most MAX_GRID points;
   * randomized pair sampling can only find failure witnesses or report
     statistics - it never claims a proof.
 
@@ -26,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from keller_lab import _kernels
 from keller_lab.families import ZShiftMap
@@ -48,6 +52,10 @@ WITNESS = "failure-witness"
 INCONCLUSIVE = "inconclusive"
 
 BAD_RESOLUTION = "grid resolution must be at least 1"
+
+# cells in one grid, and angles in one shear scan; the 4-D default grid 32
+# has exactly this many cells
+MAX_GRID = 1 << 20
 
 
 @dataclass
@@ -135,45 +143,99 @@ def sample_point(domain: ConvexDomain, rng: random.Random,
     raise ValueError("domain appears to be empty (no sample found)")
 
 
-def _cell_intersects(domain: ConvexDomain, center: Point,
-                     halves: tuple[Fraction, ...]) -> bool:
-    # conservative: never discards a cell that truly meets the domain
+class LatticeCells(Sequence):
+    """Cell centres on an integer lattice: centre k is points[k] / unit.
+
+    Indexing and iteration give the centres as Fraction tuples; the grid
+    checks read the integer points and the unit directly.
+    """
+
+    def __init__(self, unit: int, points: list[tuple[int, ...]]):
+        self.unit = unit
+        self.points = points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, k: int) -> Point:
+        return tuple(Fraction(x, self.unit) for x in self.points[k])
+
+
+def check_grid(resolution: int, n: int) -> None:
+    """Reject a resolution below 1, or one whose n-D grid has over MAX_GRID
+    cells, before any cell is built."""
+    if resolution < 1:
+        raise ValueError(BAD_RESOLUTION)
+    if resolution ** n > MAX_GRID:
+        raise ValueError(f"a grid of {resolution}^{n} cells is over the cap "
+                         f"of {MAX_GRID} cells")
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale, for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _cell_tests(domain: ConvexDomain, unit: int, axes: list[list[int]],
+                halves: list[int]) -> list[tuple[list[list[int]], int]]:
+    """The domain's conservative cell tests on the lattice, each as per-axis
+    integer terms and a limit.
+
+    A cell meets the domain only if, for every test, the terms of its
+    coordinates sum to at most the limit; a cell that truly meets the
+    domain is never discarded.  Centre and halfwidth are X/unit and H/unit.
+    """
+    tests = []
     if domain.kind == "ball":
-        dist2 = _ZERO
-        for x, c, h in zip(center, domain.center, halves):
-            nearest = min(max(c, x - h), x + h)
-            dist2 += (nearest - c) ** 2
-        if dist2 > domain.radius ** 2:
-            return False
+        # squared distance from the centre to the nearest point of the cell
+        terms = []
+        for xs, h, c in zip(axes, halves, domain.center):
+            c = _scaled(c, unit)
+            terms.append([(min(max(c, x - h), x + h) - c) ** 2 for x in xs])
+        tests.append((terms, _scaled(domain.radius, unit) ** 2))
     for normal, rhs in domain.constraints:
-        low = sum((a * (x - h if a > 0 else x + h)
-                   for a, x, h in zip(normal, center, halves)), _ZERO)
-        if low > rhs:
-            return False
-    return True
+        # a . x <= rhs, times the lcm of its denominators and the unit
+        scale = lcm(rhs.denominator, *[a.denominator for a in normal])
+        terms = []
+        for xs, h, a in zip(axes, halves, normal):
+            a = _scaled(a, scale)
+            terms.append([a * (x - h if a > 0 else x + h) for x in xs])
+        tests.append((terms, _scaled(rhs, scale) * unit))
+    return tests
 
 
 def grid_cells(domain: ConvexDomain, resolution: int
-               ) -> tuple[list[Point], tuple[Fraction, ...]]:
+               ) -> tuple[LatticeCells, tuple[Fraction, ...]]:
     """Centers of bounding-box cells meeting the domain, plus halfwidths.
 
     The cells tile the bounding box, so every point of the domain lies in
     some returned cell; the shared per-coordinate halfwidths drive the
-    Lipschitz slack.  A grid with no cell meeting the domain is an error.
+    Lipschitz slack.  With unit = 2 * resolution * (the lcm of the domain's
+    denominators), the centre of cell k on the axis [lo, hi] is
+    (lo * unit + (2k + 1) * H) / unit with H = (hi - lo) * unit /
+    (2 * resolution), so the whole grid is built on ints.  A grid with no
+    cell meeting the domain is an error.
     """
-    if resolution < 1:
-        raise ValueError(BAD_RESOLUTION)
-    widths = [(hi - lo) / resolution for lo, hi in domain.bounds]
-    halves = tuple(w / 2 for w in widths)
-    centers = []
+    check_grid(resolution, domain.n)
+    dens = [x.denominator for bound in domain.bounds for x in bound]
+    if domain.kind == "ball":
+        dens += [x.denominator for x in domain.center]
+        dens.append(domain.radius.denominator)
+    scale = lcm(*dens)
+    unit = 2 * resolution * scale
+    halves = [_scaled(hi - lo, scale) for lo, hi in domain.bounds]
+    axes = [[_scaled(lo, unit) + (2 * k + 1) * h for k in range(resolution)]
+            for (lo, _), h in zip(domain.bounds, halves)]
+    tests = _cell_tests(domain, unit, axes, halves)
+    points = []
     for index in itertools.product(range(resolution), repeat=domain.n):
-        center = tuple(lo + w * k + h for (lo, _), w, h, k
-                       in zip(domain.bounds, widths, halves, index))
-        if _cell_intersects(domain, center, halves):
-            centers.append(center)
-    if not centers:
+        if all(sum(axis[k] for axis, k in zip(terms, index)) <= limit
+               for terms, limit in tests):
+            points.append(tuple(xs[k] for xs, k in zip(axes, index)))
+    if not points:
         raise ValueError("grid produced no cells meeting the domain")
-    return centers, halves
+    return (LatticeCells(unit, points),
+            tuple(Fraction(h, unit) for h in halves))
 
 
 def abs_bound_on_box(p: Poly, bounds: Sequence[tuple[Fraction, Fraction]]
@@ -189,14 +251,39 @@ def abs_bound_on_box(p: Poly, bounds: Sequence[tuple[Fraction, Fraction]]
     return total
 
 
-def _enclose(p: Poly, domain: ConvexDomain, centers: list[Point],
+def _lattice_values(terms: dict, cells: LatticeCells
+                    ) -> tuple[list[int], int]:
+    """p at every cell centre, as integers over one denominator.
+
+    With d the total degree and q the lcm of p's denominators, each term
+    c x^e is scaled to the integer c * q * unit^(d - |e|), so the sum at an
+    integer point X is p(X / unit) * q * unit^d.
+    """
+    unit = cells.unit
+    degree = max(map(sum, terms), default=0)
+    q = lcm(*[c.denominator for c in terms.values()])
+    scaled = [(_scaled(c, q) * unit ** (degree - sum(mono)), mono)
+              for mono, c in terms.items()]
+    values = []
+    for point in cells.points:
+        total = 0
+        for c, mono in scaled:
+            for x, e in zip(point, mono):
+                c *= x ** e
+            total += c
+        values.append(total)
+    return values, q * unit ** degree
+
+
+def _enclose(p: Poly, domain: ConvexDomain, cells: LatticeCells,
              halves: tuple[Fraction, ...]) -> Interval:
-    """(lo, hi) enclosing p over the grid_cells (centers, halves) of domain."""
+    """(lo, hi) enclosing p over the grid_cells (cells, halves) of domain."""
     # |p(x) - p(center)| <= sum_i sup|dp/dx_i| * half_i within a cell
     slack = sum((abs_bound_on_box(p.partial(i + 1), domain.bounds) * halves[i]
                  for i in range(domain.n)), _ZERO)
-    values = [p.eval(c) for c in centers]
-    return min(values) - slack, max(values) + slack
+    values, den = _lattice_values(p.terms, cells)
+    return (Fraction(min(values), den) - slack,
+            Fraction(max(values), den) + slack)
 
 
 def certified_range(p: Poly, domain: ConvexDomain, resolution: int
@@ -204,9 +291,9 @@ def certified_range(p: Poly, domain: ConvexDomain, resolution: int
     """A rigorous enclosure (lo, hi) of p over the domain, plus cell count."""
     if p.n != domain.n:
         raise ValueError("dimension mismatch")
-    centers, halves = grid_cells(domain, resolution)
-    lo, hi = _enclose(p, domain, centers, halves)
-    return lo, hi, len(centers)
+    cells, halves = grid_cells(domain, resolution)
+    lo, hi = _enclose(p, domain, cells, halves)
+    return lo, hi, len(cells)
 
 
 # -- segment-averaged Jacobian criterion -------------------------------------
@@ -383,13 +470,13 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
         raise ValueError("dimension mismatch")
     if f.n > 4:
         raise ValueError("interval determinant implemented for n <= 4")
-    centers, halves = grid_cells(domain, resolution)
+    cells, halves = grid_cells(domain, resolution)
     jm = jacobian_matrix(f)
-    lo, hi = _interval_det([[_enclose(jm[i, j], domain, centers, halves)
+    lo, hi = _interval_det([[_enclose(jm[i, j], domain, cells, halves)
                              for j in range(f.n)] for i in range(f.n)])
     evidence = {
         "det_range": (lo, hi),
-        "cells": len(centers),
+        "cells": len(cells),
         "resolution": resolution,
     }
     if lo > 0 or hi < 0:
@@ -433,16 +520,16 @@ def analytic_pair_check(coeffs: Sequence[tuple], domain: ConvexDomain,
     if domain.n != 2:
         raise ValueError("the analytic criterion is planar (n = 2)")
     ux, vx = analytic_derivative_parts(coeffs)
-    centers, halves = grid_cells(domain, resolution)
+    cells, halves = grid_cells(domain, resolution)
     ranges = {}
     for name, p in (("u_x", ux), ("v_x", vx)):
-        lo, hi = _enclose(p, domain, centers, halves)
+        lo, hi = _enclose(p, domain, cells, halves)
         ranges[name] = (lo, hi)
         if lo > 0 or hi < 0:
             return Certificate(PROVEN, "analytic-partial-sign", {
                 "partial": name,
                 "range": (lo, hi),
-                "cells": len(centers),
+                "cells": len(cells),
                 "resolution": resolution,
             })
     return Certificate(INCONCLUSIVE, "analytic-partial-sign", {
@@ -480,22 +567,44 @@ def _second_derivative_bound(coeffs, radius: Fraction) -> Fraction:
     return total
 
 
-def _shear_grid(inp: PlanarShearInput, resolution: int):
-    """The disk's cells, a (Re h', Im h', |g'|^2) row per cell, and the
-    Lipschitz slacks of h' and of g' over one cell."""
-    centers, halves = grid_cells(ConvexDomain.ball((0, 0), inp.radius),
-                                 resolution)
+def _disk_cells(inp: PlanarShearInput, resolution: int):
+    """The disk's grid cells, and the Lipschitz slack over one cell of the
+    derivative of a function with the given coefficients."""
+    cells, halves = grid_cells(ConvexDomain.ball((0, 0), inp.radius),
+                               resolution)
     # cells near the rim poke outside the disk: bound on an enlarged radius
     bound_radius = inp.radius + 3 * halves[0]
     half_sum = halves[0] + halves[1]
-    hp, gp = _cderivative(inp.h), _cderivative(inp.g)
+
+    def slack(coeffs) -> Fraction:
+        return _second_derivative_bound(coeffs, bound_radius) * half_sum
+
+    return cells, slack
+
+
+def _derivative_table(coeffs, cells: LatticeCells
+                      ) -> tuple[list[tuple[int, int]], int]:
+    """(Re f', Im f') at every cell centre, as integers over one denominator.
+
+    With d the degree of f' and q the lcm of its denominators, coefficient
+    k is scaled by q * unit^(d - k), so Horner at the integer point X + iY
+    gives f'((X + iY) / unit) * q * unit^d.
+    """
+    der = _cderivative(coeffs)
+    unit = cells.unit
+    degree = max(len(der) - 1, 0)
+    q = lcm(*[x.denominator for pair in der for x in pair])
+    scaled = [(_scaled(re, q) * unit ** (degree - k),
+               _scaled(im, q) * unit ** (degree - k))
+              for k, (re, im) in enumerate(der)]
+    scaled.reverse()
     table = []
-    for cx, cy in centers:
-        gre, gim = _ceval(gp, cx, cy)
-        table.append(_ceval(hp, cx, cy) + (gre * gre + gim * gim,))
-    return (centers, table,
-            _second_derivative_bound(inp.h, bound_radius) * half_sum,
-            _second_derivative_bound(inp.g, bound_radius) * half_sum)
+    for x, y in cells.points:
+        re = im = 0
+        for a, b in scaled:
+            re, im = re * x - im * y + a, re * y + im * x + b
+        table.append((re, im))
+    return table, q * unit ** degree
 
 
 def _half_angle_unit(t: Fraction) -> tuple[Fraction, Fraction]:
@@ -513,6 +622,8 @@ def unit_gamma_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     """
     if steps < 1:
         raise ValueError("at least one angle is required")
+    if steps > MAX_GRID:
+        raise ValueError(f"{steps} angles are over the cap of {MAX_GRID}")
     quarter = max(1, (steps + 3) // 4)
     out = []
     for k in range(quarter):
@@ -522,23 +633,41 @@ def unit_gamma_grid(steps: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _scan_gamma(table, slack: Fraction, ur: Fraction, ui: Fraction
+def _cleared_terms(gamma: tuple[Fraction, Fraction], slack: Fraction,
+                   den: int) -> tuple[int, int, int, int]:
+    """(a, b, s, k) with Re(gamma * h') - slack = (a*re - b*im - s) / k at
+    a cell whose h' is (re + i*im) / den."""
+    ur, ui = gamma
+    q = lcm(ur.denominator, ui.denominator)
+    sn, sd = slack.numerator, slack.denominator
+    return (_scaled(ur, q) * sd, _scaled(ui, q) * sd, sn * q * den,
+            q * den * sd)
+
+
+def _scan_gamma(table, h_den: int, g_den: int, slack: Fraction,
+                gamma: tuple[Fraction, Fraction]
                 ) -> tuple[bool, Fraction | None, Fraction | None]:
     """(passed, min squared margin, worst score) for one rotation.
 
-    The score ranks failing rotations so refinement can target the most
-    promising one; it is the quantity that went nonpositive first.
+    table rows are (Re h', Im h', |g'|^2) as integers over h_den, h_den and
+    g_den^2.  The score ranks failing rotations so refinement can target
+    the most promising one; it is the quantity that went nonpositive first.
+    Cleared values are over k, squared margins over (k * g_den)^2, so every
+    test runs on ints and a Fraction is built only for the result.
     """
-    min_margin: Fraction | None = None
-    for hre, him, g_sq in table:
-        cleared = ur * hre - ui * him - slack
+    a, b, s, k = _cleared_terms(gamma, slack, h_den)
+    g_sq, k_sq = g_den * g_den, k * k
+    least = None
+    for hre, him, g in table:
+        cleared = a * hre - b * him - s
         if cleared <= 0:
-            return False, None, cleared
-        margin = cleared * cleared - g_sq
+            return False, None, Fraction(cleared, k)
+        margin = cleared * cleared * g_sq - g * k_sq
         if margin <= 0:
-            return False, None, margin
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
+            return False, None, Fraction(margin, k_sq * g_sq)
+        if least is None or margin < least:
+            least = margin
+    min_margin = Fraction(least, k_sq * g_sq)
     return True, min_margin, min_margin
 
 
@@ -566,13 +695,18 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
     a finer bracket around the best-scoring angle is retried.  Success
     means the harmonic map h + conj(g) is injective on the disk.
     """
-    centers, table, h_slack, g_slack = _shear_grid(inp, resolution)
-    slack = h_slack + g_slack
+    cells, slack_of = _disk_cells(inp, resolution)
+    h_table, h_den = _derivative_table(inp.h, cells)
+    g_table, g_den = _derivative_table(inp.g, cells)
+    table = [(hre, him, gre * gre + gim * gim)
+             for (hre, him), (gre, gim) in zip(h_table, g_table)]
+    slack = slack_of(inp.h) + slack_of(inp.g)
+    grid = unit_gamma_grid(gamma_steps)
     best: tuple[Fraction, Fraction] | None = None
     best_score: Fraction | None = None
 
     def angles():
-        yield from unit_gamma_grid(gamma_steps)
+        yield from grid
         # runs once the grid is spent, so best is the grid's best angle
         if best is not None:
             yield from _rotations_near(best, max(gamma_steps, 4))
@@ -580,12 +714,13 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
     tried = 0
     for ur, ui in angles():
         tried += 1
-        passed, min_margin, score = _scan_gamma(table, slack, ur, ui)
+        passed, min_margin, score = _scan_gamma(table, h_den, g_den, slack,
+                                                (ur, ui))
         if passed:
             return Certificate(PROVEN, "planar-shear", {
                 "gamma": (ur, ui),
                 "min_squared_margin": min_margin,
-                "cells": len(centers),
+                "cells": len(cells),
                 "slack": slack,
                 "angles_tried": tried,
             })
@@ -593,7 +728,7 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
             best, best_score = (ur, ui), score
     return Certificate(INCONCLUSIVE, "planar-shear", {
         "angles_tried": tried,
-        "cells": len(centers),
+        "cells": len(cells),
         "slack": slack,
     })
 
@@ -602,10 +737,12 @@ def shear_margin_grid(inp: PlanarShearInput, resolution: int,
                       gamma: tuple[Fraction, Fraction]
                       ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Rows (x, y, Re(gamma*h'(z)) - slack of h') for plotting one angle."""
-    centers, table, h_slack, _ = _shear_grid(inp, resolution)
-    ur, ui = as_rational(gamma[0]), as_rational(gamma[1])
-    return [(cx, cy, ur * hre - ui * him - h_slack)
-            for (cx, cy), (hre, him, _) in zip(centers, table)]
+    cells, slack_of = _disk_cells(inp, resolution)
+    table, den = _derivative_table(inp.h, cells)
+    a, b, s, k = _cleared_terms(
+        (as_rational(gamma[0]), as_rational(gamma[1])), slack_of(inp.h), den)
+    return [center + (Fraction(a * hre - b * him - s, k),)
+            for center, (hre, him) in zip(cells, table)]
 
 
 # -- piecewise valence bound ---------------------------------------------------

@@ -130,8 +130,7 @@ def parse_complex_coeffs(text: str) -> list[tuple[Fraction, Fraction]]:
 def _plot_data_for_map(f: PolyMap, resolution: int) -> dict:
     if f.n != 2:
         raise ValueError("plot data needs a two-variable map")
-    if resolution < 1:
-        raise ValueError(certify.BAD_RESOLUTION)
+    certify.check_grid(resolution, 2)
     rows = []
     for i in range(resolution):
         for j in range(resolution):

@@ -1,6 +1,9 @@
 """Injectivity certificates: exactness, soundness, reproducibility."""
 
+import dataclasses
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -673,3 +676,256 @@ class TestPValenceBound:
         single = certify_injective_zshift(f)
         assert [(c.status, c.evidence) for c in res.certificates] == [
             (single.status, single.evidence)] * 2
+
+
+# -- the integer lattice against the Fraction grid checks it replaced ---------
+#
+# The oracles below are the Fraction versions of grid_cells, _enclose,
+# _scan_gamma, planar_shear_check and shear_margin_grid as they were before
+# the grid checks moved onto an integer lattice.  The helpers the lattice
+# did not change (_cderivative, _ceval, the slack bound and the angle lists)
+# are shared.
+
+def oracle_cell_intersects(domain, center, halves):
+    if domain.kind == "ball":
+        dist2 = Fraction(0)
+        for x, c, h in zip(center, domain.center, halves):
+            nearest = min(max(c, x - h), x + h)
+            dist2 += (nearest - c) ** 2
+        if dist2 > domain.radius ** 2:
+            return False
+    for normal, rhs in domain.constraints:
+        low = sum((a * (x - h if a > 0 else x + h)
+                   for a, x, h in zip(normal, center, halves)), Fraction(0))
+        if low > rhs:
+            return False
+    return True
+
+
+def oracle_grid_cells(domain, resolution):
+    widths = [(hi - lo) / resolution for lo, hi in domain.bounds]
+    halves = tuple(w / 2 for w in widths)
+    centers = []
+    for index in itertools.product(range(resolution), repeat=domain.n):
+        center = tuple(lo + w * k + h for (lo, _), w, h, k
+                       in zip(domain.bounds, widths, halves, index))
+        if oracle_cell_intersects(domain, center, halves):
+            centers.append(center)
+    if not centers:
+        raise ValueError("grid produced no cells meeting the domain")
+    return centers, halves
+
+
+def oracle_enclose(p, domain, centers, halves):
+    slack = sum((abs_bound_on_box(p.partial(i + 1), domain.bounds) * halves[i]
+                 for i in range(domain.n)), Fraction(0))
+    values = [p.eval(c) for c in centers]
+    return min(values) - slack, max(values) + slack
+
+
+def oracle_shear_grid(inp, resolution):
+    centers, halves = oracle_grid_cells(
+        ConvexDomain.ball((0, 0), inp.radius), resolution)
+    bound_radius = inp.radius + 3 * halves[0]
+    half_sum = halves[0] + halves[1]
+    hp, gp = certify._cderivative(inp.h), certify._cderivative(inp.g)
+    table = []
+    for cx, cy in centers:
+        gre, gim = certify._ceval(gp, cx, cy)
+        table.append(certify._ceval(hp, cx, cy) + (gre * gre + gim * gim,))
+    return (centers, table,
+            certify._second_derivative_bound(inp.h, bound_radius) * half_sum,
+            certify._second_derivative_bound(inp.g, bound_radius) * half_sum)
+
+
+def oracle_scan_gamma(table, slack, ur, ui):
+    min_margin = None
+    for hre, him, g_sq in table:
+        cleared = ur * hre - ui * him - slack
+        if cleared <= 0:
+            return False, None, cleared
+        margin = cleared * cleared - g_sq
+        if margin <= 0:
+            return False, None, margin
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+    return True, min_margin, min_margin
+
+
+def oracle_planar_shear_check(inp, resolution, gamma_steps):
+    centers, table, h_slack, g_slack = oracle_shear_grid(inp, resolution)
+    slack = h_slack + g_slack
+    best, best_score = None, None
+
+    def angles():
+        yield from unit_gamma_grid(gamma_steps)
+        if best is not None:
+            yield from certify._rotations_near(best, max(gamma_steps, 4))
+
+    tried = 0
+    for ur, ui in angles():
+        tried += 1
+        passed, min_margin, score = oracle_scan_gamma(table, slack, ur, ui)
+        if passed:
+            return PROVEN, {"gamma": (ur, ui),
+                            "min_squared_margin": min_margin,
+                            "cells": len(centers), "slack": slack,
+                            "angles_tried": tried}
+        if best_score is None or (score is not None and score > best_score):
+            best, best_score = (ur, ui), score
+    return INCONCLUSIVE, {"angles_tried": tried, "cells": len(centers),
+                          "slack": slack}
+
+
+def oracle_shear_margin_grid(inp, resolution, gamma):
+    centers, table, h_slack, _ = oracle_shear_grid(inp, resolution)
+    ur, ui = Fraction(gamma[0]), Fraction(gamma[1])
+    return [(cx, cy, ur * hre - ui * him - h_slack)
+            for (cx, cy), (hre, him, _) in zip(centers, table)]
+
+
+# negative, zero and non-dyadic bounds
+_bounds = st.fractions(min_value=-3, max_value=3, max_denominator=15)
+_positive = st.fractions(min_value=Fraction(1, 15), max_value=3,
+                         max_denominator=15)
+_slope = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def _box_bounds(draw, n):
+    """n (lo, hi) pairs, some with lo == hi."""
+    out = []
+    for _ in range(n):
+        lo, hi = sorted((draw(_bounds), draw(_bounds)))
+        out.append((lo, lo) if draw(st.booleans()) and draw(st.booleans())
+                   else (lo, hi))
+    return out
+
+
+@st.composite
+def lattice_domains(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["box", "ball", "wide-ball", "half"]))
+    if kind == "box":
+        return ConvexDomain.box(draw(_box_bounds(n)))
+    if kind == "half":
+        rows = draw(st.lists(st.tuples(st.tuples(*[_slope] * n), _slope),
+                             min_size=1, max_size=2))
+        return ConvexDomain.halfspaces(draw(_box_bounds(n)), rows)
+    ball = ConvexDomain.ball(tuple(draw(_bounds) for _ in range(n)),
+                             draw(_positive))
+    if kind == "ball":
+        return ball
+    # a ball inside a box wider than its own: the lattice must carry the
+    # centre and radius itself, not through the bounds
+    return dataclasses.replace(ball, bounds=tuple(
+        (lo - draw(_positive), hi + draw(_positive))
+        for lo, hi in ball.bounds))
+
+
+def lattice_polys(n):
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    return st.dictionaries(exponents, _slope, max_size=5).map(
+        lambda terms: Poly(n, terms))
+
+
+_small = st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3),
+                      max_denominator=9)
+_complex_small = st.tuples(_small, _small)
+
+
+@st.composite
+def shear_inputs(draw):
+    """h = c0 + c1 z + small higher terms and a small g: some cases prove,
+    some fail on a cleared value, some on a squared margin."""
+    lead = st.tuples(_slope, _slope)
+    h = ([draw(_complex_small), draw(lead)]
+         + draw(st.lists(_complex_small, max_size=2)))
+    g = draw(st.lists(_complex_small, min_size=1, max_size=3))
+    radius = draw(st.fractions(min_value=Fraction(1, 6), max_value=2,
+                               max_denominator=6))
+    return PlanarShearInput(tuple(h), tuple(g), radius)
+
+
+class TestLatticeOracles:
+    @settings(deadline=None, max_examples=150)
+    @given(domain=lattice_domains(), resolution=st.integers(1, 8),
+           data=st.data())
+    @example(domain=ConvexDomain.box([(Fraction(2, 3), Fraction(2, 3)),
+                                      (-3, Fraction(-1, 7))]),
+             resolution=3, data=None)
+    @example(domain=ConvexDomain.ball((Fraction(1, 3), Fraction(-2, 5)),
+                                      Fraction(3, 7)),
+             resolution=7, data=None)
+    @example(domain=dataclasses.replace(
+        ConvexDomain.ball((Fraction(-3, 5),), Fraction(1, 2)),
+        bounds=((Fraction(-1), Fraction(1)),)), resolution=2, data=None)
+    @example(domain=ConvexDomain.halfspaces(
+        [(-1, 1), (-1, 1)], [((Fraction(1, 2), Fraction(-2, 3)),
+                              Fraction(-1, 5))]), resolution=5, data=None)
+    def test_grid_and_enclosure_match_fractions(self, domain, resolution,
+                                                 data):
+        try:
+            want_centers, want_halves = oracle_grid_cells(domain, resolution)
+        except ValueError:
+            with pytest.raises(ValueError, match="no cells"):
+                grid_cells(domain, resolution)
+            return
+        cells, halves = grid_cells(domain, resolution)
+        assert list(cells) == want_centers
+        assert halves == want_halves
+        assert all(len(c) == domain.n for c in cells.points)
+        polys = [Poly(domain.n, {(1,) * domain.n: Fraction(-2, 3),
+                                 (0,) * domain.n: Fraction(1, 5)})]
+        if data is not None:
+            polys.append(data.draw(lattice_polys(domain.n)))
+        for p in polys:
+            assert (certify._enclose(p, domain, cells, halves)
+                    == oracle_enclose(p, domain, want_centers, want_halves))
+
+    @settings(deadline=None, max_examples=120)
+    @given(inp=shear_inputs(), resolution=st.integers(1, 8),
+           steps=st.integers(1, 40), gamma=st.tuples(_slope, _slope))
+    @example(inp=PlanarShearInput(
+        ((0, 0), (Fraction(3, 5), Fraction(4, 5))),
+        ((0, 0), (Fraction(17, 20), 0))), resolution=8, steps=4,
+        gamma=(Fraction(3, 5), Fraction(4, 5)))
+    @example(inp=PlanarShearInput(
+        ((0, 0), (1, 0)), ((0, 0), (0, 0), (Fraction(1, 4), 0)),
+        Fraction(1, 2)), resolution=8, steps=40, gamma=(1, 0))
+    def test_shear_check_and_plot_match_fractions(self, inp, resolution,
+                                                  steps, gamma):
+        cert = planar_shear_check(inp, resolution, steps)
+        assert (cert.status, cert.evidence) == oracle_planar_shear_check(
+            inp, resolution, steps)
+        assert (shear_margin_grid(inp, resolution, gamma)
+                == oracle_shear_margin_grid(inp, resolution, gamma))
+
+
+class TestGridCap:
+    def test_default_4d_grid_is_legal(self):
+        certify.check_grid(32, 4)  # 2^20 cells, checked without building
+        certify.check_grid(1024, 2)
+
+    @pytest.mark.parametrize("resolution, n", [(33, 4), (1025, 2),
+                                               (100000, 2), (10 ** 50, 3)])
+    def test_over_the_cap_is_rejected_before_any_cell(self, monkeypatch,
+                                                      resolution, n):
+        def no_cells(*args):
+            raise AssertionError("the grid was started")
+
+        monkeypatch.setattr(certify, "_cell_tests", no_cells)
+        domain = ConvexDomain.box([(-1, 1)] * n)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"{resolution}\^{n} cells"):
+            grid_cells(domain, resolution)
+        assert time.perf_counter() - start < 5
+
+    def test_gamma_steps_over_the_cap_are_rejected(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{10 ** 9} angles"):
+            unit_gamma_grid(10 ** 9)
+        inp = PlanarShearInput(((0, 0), (1, 0)), ((0, 0),))
+        with pytest.raises(ValueError, match="over the cap"):
+            planar_shear_check(inp, 4, certify.MAX_GRID + 1)
+        assert time.perf_counter() - start < 5

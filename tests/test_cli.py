@@ -1,6 +1,8 @@
 """Command-line interface: reports, formats, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -257,6 +259,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: grid resolution must be at least 1\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["shear-check", "--h", "0,1", "--grid", "100000"],
+         "a grid of 100000^2 cells is over the cap of 1048576 cells"),
+        (["shear-check", "--h", "0,1", "--gamma-steps", "1048577"],
+         "1048577 angles are over the cap of 1048576"),
+        (["analytic-check", "--coeffs", "0,1", "--domain", "box:-1,1;-1,1",
+          "--grid", "1025"],
+         "a grid of 1025^2 cells is over the cap of 1048576 cells"),
+        (["pvalent", "--expr", "x1", "--expr", "x2", "--expr", "x3",
+          "--expr", "x4", "--piece", "box:-1,1;-1,1;-1,1;-1,1",
+          "--grid", "33"],
+         "a grid of 33^4 cells is over the cap of 1048576 cells"),
+        (["jacobian", "--expr", "x^2", "--expr", "y", "--plot-data",
+          "--grid", "100000"],
+         "a grid of 100000^2 cells is over the cap of 1048576 cells"),
+    ])
+    def test_grid_over_the_cap_is_one(self, capsys, argv, message):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
         code = cli.main(["keller", "--expr", "-x", "--expr", "y",
@@ -351,3 +378,40 @@ class TestConsoleScript:
         report = json.loads(proc.stdout)
         VALIDATOR.validate(report)
         assert report["result"]["is_keller"] is True
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the map files the README's examples name, and files under tests/data
+# that fit each example
+README_FILES = {"map.txt": "planar_map.txt",
+                "family.txt": "example_family.txt",
+                "outer.txt": "example_family.txt",
+                "inner.txt": "rank_one_family.txt"}
+
+
+def readme_commands() -> list[list[str]]:
+    """Every keller-lab line of the sh blocks under README's "Command
+    line" heading, with continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words and words[0] == "keller-lab":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_shows_every_subcommand():
+    assert sorted(argv[0] for argv in readme_commands()) == [
+        "analytic-check", "compose", "decompose", "inject-sample",
+        "inject-symbolic", "inverse", "jacobian", "keller", "member",
+        "normal-form-2d", "pvalent", "shear-check"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(capsys, data_dir, argv):
+    argv = [str(data_dir / README_FILES[a]) if a in README_FILES else a
+            for a in argv]
+    run_json(capsys, argv)
