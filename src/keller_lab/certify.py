@@ -134,6 +134,8 @@ class ConvexDomain:
 def sample_point(domain: ConvexDomain, rng: random.Random,
                  denom_bits: int = 4, max_tries: int = 2000) -> Point:
     """A rational point of the domain, uniform over a 2^-k lattice."""
+    if denom_bits < 0:
+        raise ValueError("denominator bits must be non-negative")
     den = 1 << denom_bits
     for _ in range(max_tries):
         pt = tuple(lo + (hi - lo) * Fraction(rng.randint(0, den), den)

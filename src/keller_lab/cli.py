@@ -116,10 +116,10 @@ def parse_complex_coeffs(text: str) -> list[tuple[Fraction, Fraction]]:
     """Parse 'c0,c1,...' with entries 're' or 're:im', ascending powers."""
     out = []
     for part in text.split(","):
-        re_text, _, im_text = part.partition(":")
+        re_text, colon, im_text = part.partition(":")
         try:
             out.append((Fraction(re_text.strip()),
-                        Fraction(im_text.strip()) if im_text else Fraction(0)))
+                        Fraction(im_text.strip()) if colon else Fraction(0)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {part.strip()!r}", 0) from exc
     if not out:

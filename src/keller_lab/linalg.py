@@ -2,9 +2,8 @@
 
 RatMatrix covers the scalar side: elimination, determinants, inverses and
 general linear solving with an explicit nullspace.  PolyMatrix covers
-matrices of polynomials, where determinants use cofactor expansion for
-small sizes and fraction-free elimination above that, so every division
-performed is exact.
+matrices of polynomials, whose determinant is a Laplace expansion with
+memoised minors that performs no division.
 """
 
 from __future__ import annotations
@@ -231,7 +230,7 @@ class PolyMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("rows must have equal length")
-        n = data[0][0].n
+        n = getattr(data[0][0], "n", None)
         for row in data:
             for p in row:
                 if not isinstance(p, Poly) or p.n != n:
@@ -249,60 +248,37 @@ class PolyMatrix:
         return RatMatrix([[p.eval(point) for p in row] for row in self.data])
 
     def det(self) -> Poly:
-        """Exact determinant.
+        """Exact determinant, computed with no division.
 
-        Cofactor expansion up to 4x4 (cheap, no divisions), fraction-free
-        elimination beyond that: intermediate entries stay true minors and
-        every division is exact, which keeps expression swell polynomial
-        instead of exponential.
+        Laplace expansion down the rows, with the minors memoised by column
+        subset.  The minors of the last k rows are keyed by the bit mask of
+        their k columns.  Each row above extends every nonzero minor by each
+        unused column whose entry is nonzero, so a k x k determinant takes
+        at most k * 2^(k-1) products, each of one entry with one minor.
         """
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        if self.rows <= 4:
-            return _det_cofactor(self.data, self.n)
-        return _det_bareiss(self.data, self.n)
-
-
-def _det_cofactor(m: list[list[Poly]], n: int) -> Poly:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Poly.zero(n)
-    # expand along the column with the most zero entries
-    best = min(range(size),
-               key=lambda j: sum(0 if m[i][j].is_zero() else 1
-                                 for i in range(size)))
-    for i in range(size):
-        entry = m[i][best]
-        if entry.is_zero():
-            continue
-        minor = [[m[r][c] for c in range(size) if c != best]
-                 for r in range(size) if r != i]
-        cof = entry * _det_cofactor(minor, n)
-        total = total + cof if (i + best) % 2 == 0 else total - cof
-    return total
-
-
-def _det_bareiss(m: list[list[Poly]], n: int) -> Poly:
-    size = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = Poly.const(n, 1)
-    for k in range(size - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, size)
-                         if not a[i][k].is_zero()), None)
-            if swap is None:
-                return Poly.zero(n)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = Poly.zero(n)
-        prev = a[k][k]
-    out = a[size - 1][size - 1]
-    return out if sign == 1 else -out
+        zero = Poly.zero(self.n)
+        minors = {1 << j: p for j, p in enumerate(self.data[-1])
+                  if not p.is_zero()}
+        for row in reversed(self.data[:-1]):
+            entries = [(1 << j, p) for j, p in enumerate(row)
+                       if not p.is_zero()]
+            plus: dict[int, Poly] = {}
+            minus: dict[int, Poly] = {}
+            for mask, minor in minors.items():
+                for bit, entry in entries:
+                    if mask & bit:
+                        continue
+                    # the cofactor sign counts the used columns left of bit
+                    side = minus if (mask & (bit - 1)).bit_count() & 1 \
+                        else plus
+                    key = mask | bit
+                    term = entry * minor
+                    side[key] = side[key] + term if key in side else term
+            minors = {}
+            for key in plus.keys() | minus.keys():
+                minor = plus.get(key, zero) - minus.get(key, zero)
+                if not minor.is_zero():
+                    minors[key] = minor
+        return minors.get((1 << self.rows) - 1, zero)

@@ -247,6 +247,8 @@ def parse_map(texts: list[str], n: int | None = None) -> PolyMap:
         raise ParseError("a map needs at least one component expression", 0)
     if n is None:
         n = infer_dimension(texts)
+    if not 1 <= n <= 9:
+        raise ParseError("variable count must be between 1 and 9", 0)
     if len(texts) != n:
         raise ParseError(
             f"map on {n} variables needs {n} component expressions, "

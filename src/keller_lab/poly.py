@@ -221,8 +221,7 @@ class Poly:
     def divexact(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises if the division is not exact.
 
-        Repeated leading-term reduction in graded-lex order.  Used by the
-        fraction-free determinant, where divisibility is guaranteed.
+        Repeated leading-term reduction in graded-lex order.
         """
         self._check_dim(divisor)
         if divisor.is_zero():

@@ -284,6 +284,45 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("coeffs", ["1:", "1: ", "0,1:,2", "1/2:  "])
+    def test_empty_imaginary_part_is_two(self, capsys, coeffs):
+        code = cli.main(["analytic-check", "--coeffs", coeffs,
+                         "--domain", "box:-1,1;-1,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad coefficient")
+
+    def test_explicit_imaginary_part_still_parses(self, capsys):
+        assert cli.main(["analytic-check", "--coeffs", "0,1: 0,0:1/4",
+                         "--domain", "box:-1,1;-1,1"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("exprs, n", [
+        (["x"], "10"),
+        ([f"x{i}" for i in range(1, 10)] + ["x1"], "10"),
+        ([f"x{i}" for i in range(1, 10)] + ["x1"], None),
+    ])
+    def test_variable_count_out_of_range_is_two(self, capsys, exprs, n):
+        argv = ["keller"] + expr_flags(exprs)
+        if n is not None:
+            argv += ["--n", n]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: variable count must be between "
+                                "1 and 9 (at position 0)\n")
+
+    def test_negative_denominator_bits_is_one(self, capsys):
+        code = cli.main(["inject-sample", "--expr", "x", "--expr", "y",
+                         "--domain", "box:-1,1;-1,1", "--denom-bits", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == \
+            "error: denominator bits must be non-negative\n"
+
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
         code = cli.main(["keller", "--expr", "-x", "--expr", "y",

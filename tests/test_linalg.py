@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keller_lab.families import ZShiftMap
+from keller_lab.jacobian import jacobian_matrix, zshift_det_formula
 from keller_lab.linalg import (
     PolyMatrix,
     RatMatrix,
     linear_poly_map,
     rat_solve,
 )
-from keller_lab.poly import Poly
+from keller_lab.poly import Poly, PolyMap
 
 from conftest import rational
 
@@ -138,19 +140,42 @@ class TestLinearPolyMap:
         assert linear_poly_map(RatMatrix.identity(3)).is_identity()
 
 
-def _poly_entries(rng: random.Random, size: int, n: int,
-                  degree: int = 2) -> list[list[Poly]]:
+def _poly_entries(rng: random.Random, size: int, n: int) -> list[list[Poly]]:
     out = []
     for _ in range(size):
         row = []
         for _ in range(size):
             p = Poly.zero(n)
             for _ in range(rng.randint(0, 3)):
-                mono = tuple(rng.randint(0, degree) for _ in range(n))
+                mono = tuple(rng.randint(0, 2) for _ in range(n))
                 p = p + Poly.monomial(n, mono, rational(rng, 4))
             row.append(p)
         out.append(row)
     return out
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square Poly matrices up to 6x6 in 0-3 variables, with zero
+    entries, and some with a zero column or a repeated row."""
+    size = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n),
+                     st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=3))
+    entry = st.one_of(st.just([]), st.lists(term, max_size=3))
+    rows = [[Poly(n, dict(draw(entry))) for _ in range(size)]
+            for _ in range(size)]
+    shape = draw(st.sampled_from(["dense", "zero column", "repeated row"]))
+    if shape == "zero column":
+        col = draw(st.integers(0, size - 1))
+        for row in rows:
+            row[col] = Poly.zero(n)
+    elif shape == "repeated row" and size > 1:
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows[i] = list(rows[j])
+    return rows
 
 
 class TestPolyMatrix:
@@ -181,14 +206,29 @@ class TestPolyMatrix:
             point = (rational(rng, 3), rational(rng, 3))
             assert m.det().eval(point) == m.eval(point).det()
 
-    def test_bareiss_and_cofactor_agree(self):
-        from keller_lab.linalg import _det_bareiss, _det_cofactor
-        rng = random.Random(5)
-        for _ in range(10):
-            size = rng.randint(2, 5)
-            entries = _poly_entries(rng, size, 2, degree=1)
-            assert _det_bareiss([row[:] for row in entries], 2) \
-                == _det_cofactor([row[:] for row in entries], 2)
+    @settings(max_examples=80, deadline=None)
+    @given(poly_matrices())
+    def test_det_matches_leibniz(self, rows):
+        assert PolyMatrix(rows).det() == leibniz_det(rows)
+
+    def test_det_never_divides(self, monkeypatch):
+        def refuse(self, divisor):
+            raise AssertionError("the determinant divided")
+        monkeypatch.setattr(Poly, "divexact", refuse)
+        rng = random.Random(6)
+        coeffs = [[rational(rng, 4) for _ in range(2)] for _ in range(6)]
+        jac = jacobian_matrix(PolyMap(ZShiftMap(coeffs).components))
+        assert jac.rows == 6
+        det = jac.det()
+        assert not det.is_constant()
+        assert det == zshift_det_formula(coeffs)
+
+    @pytest.mark.parametrize("rows", [
+        [[1]], [[Fraction(1)]], [[Poly.const(1, 1), 2]],
+        [[Poly.const(1, 1), Poly.const(2, 1)]]])
+    def test_entries_must_be_poly_of_one_dimension(self, rows):
+        with pytest.raises(ValueError, match="entries must be Poly"):
+            PolyMatrix(rows)
 
     def test_zero_column_gives_zero_det(self):
         zero = Poly.zero(2)
@@ -208,7 +248,10 @@ def test_det_transpose_invariant(rows):
 
 
 def leibniz_det(rows):
-    """Oracle: sum over permutations of sign * prod of one entry per row."""
+    """Oracle: sum over permutations of sign * prod of one entry per row.
+
+    The entries may be Fractions or Polys.
+    """
     total = Fraction(0)
     for perm in permutations(range(len(rows))):
         inversions = sum(perm[i] > perm[j] for i in range(len(perm))

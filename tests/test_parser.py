@@ -204,6 +204,14 @@ class TestMapParsing:
         f = parse_map(["x1", "x2", "x3"], n=3)
         assert f == PolyMap.identity(3)
 
+    @pytest.mark.parametrize("texts, n", [
+        (["x"], 10), (["x1"] * 10, 10), (["x1"] * 10, None),
+        (["x"], 0), (["x"], -1)])
+    def test_dimension_out_of_range_is_checked_before_the_count(self, texts,
+                                                                n):
+        with pytest.raises(ParseError, match="between 1 and 9"):
+            parse_map(texts, n)
+
 
 class TestMapFiles:
     def test_expression_file(self):
