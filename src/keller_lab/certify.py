@@ -19,7 +19,9 @@ Three certifier flavours, in decreasing strength:
     X/unit for an integer point X and one integer unit per grid, so the
     cell tests, the polynomial values and the shear scan run on ints, and
     a Fraction is built only for a bound or margin that is reported.  A
-    grid, and a shear scan's angle list, holds at most MAX_GRID points;
+    grid, and a shear scan's angle list, holds at most MAX_GRID points.
+    The interval Jacobian's determinant is linalg.expansion_det, the one
+    that PolyMatrix.det runs, over Interval entries;
   * randomized pair sampling can only find failure witnesses or report
     statistics - it never claims a proof.
 
@@ -38,14 +40,13 @@ from math import lcm
 from keller_lab import _kernels
 from keller_lab.families import ZShiftMap
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import RatMatrix
+from keller_lab.linalg import RatMatrix, expansion_det
 from keller_lab.poly import ExpansionLimitError, Poly, PolyMap, as_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Point = tuple[Fraction, ...]
-Interval = tuple[Fraction, Fraction]
 
 PROVEN = "proven-injective"
 WITNESS = "failure-witness"
@@ -56,6 +57,11 @@ BAD_RESOLUTION = "grid resolution must be at least 1"
 # cells in one grid, and angles in one shear scan; the 4-D default grid 32
 # has exactly this many cells
 MAX_GRID = 1 << 20
+
+# lattice points sample_point draws before it calls a domain empty
+SAMPLE_TRIES = 2000
+# exact rotations on each side of the best angle that the shear scan retries
+NEAR_ROTATIONS = 8
 
 
 @dataclass
@@ -132,12 +138,12 @@ class ConvexDomain:
 
 
 def sample_point(domain: ConvexDomain, rng: random.Random,
-                 denom_bits: int = 4, max_tries: int = 2000) -> Point:
+                 denom_bits: int = 4) -> Point:
     """A rational point of the domain, uniform over a 2^-k lattice."""
     if denom_bits < 0:
         raise ValueError("denominator bits must be non-negative")
     den = 1 << denom_bits
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         pt = tuple(lo + (hi - lo) * Fraction(rng.randint(0, den), den)
                    for lo, hi in domain.bounds)
         if domain.contains(pt):
@@ -243,14 +249,9 @@ def grid_cells(domain: ConvexDomain, resolution: int
 def abs_bound_on_box(p: Poly, bounds: Sequence[tuple[Fraction, Fraction]]
                      ) -> Fraction:
     """sup |p| over the box, bounded by the coefficient-norm estimate."""
-    radii = [max(abs(lo), abs(hi)) for lo, hi in bounds]
-    total = _ZERO
-    for mono, coeff in p.terms.items():
-        term = abs(coeff)
-        for r, e in zip(radii, mono):
-            term *= r ** e
-        total += term
-    return total
+    radii = tuple(max(abs(lo), abs(hi)) for lo, hi in bounds)
+    return _kernels.eval_terms({mono: abs(c) for mono, c in p.terms.items()},
+                               radii)
 
 
 def _lattice_values(terms: dict, cells: LatticeCells
@@ -278,7 +279,7 @@ def _lattice_values(terms: dict, cells: LatticeCells
 
 
 def _enclose(p: Poly, domain: ConvexDomain, cells: LatticeCells,
-             halves: tuple[Fraction, ...]) -> Interval:
+             halves: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """(lo, hi) enclosing p over the grid_cells (cells, halves) of domain."""
     # |p(x) - p(center)| <= sum_i sup|dp/dx_i| * half_i within a cell
     slack = sum((abs_bound_on_box(p.partial(i + 1), domain.bounds) * halves[i]
@@ -431,32 +432,23 @@ def certify_injective_zshift(f: ZShiftMap) -> Certificate:
 # -- interval enclosure of the segment matrix --------------------------------
 
 
-def _imul(a: Interval, b: Interval) -> Interval:
-    products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return min(products), max(products)
+@dataclass(frozen=True)
+class Interval:
+    """The closed interval [lo, hi] of rationals, with exact arithmetic."""
 
+    lo: Fraction
+    hi: Fraction
 
-def _iadd(a: Interval, b: Interval) -> Interval:
-    return a[0] + b[0], a[1] + b[1]
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo + other.lo, self.hi + other.hi)
 
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo - other.hi, self.hi - other.lo)
 
-def _isub(a: Interval, b: Interval) -> Interval:
-    return a[0] - b[1], a[1] - b[0]
-
-
-def _interval_det(m: list[list[Interval]]) -> Interval:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return _isub(_imul(m[0][0], m[1][1]), _imul(m[0][1], m[1][0]))
-    total = (_ZERO, _ZERO)
-    for i in range(size):
-        minor = [[m[r][c] for c in range(1, size)]
-                 for r in range(size) if r != i]
-        term = _imul(m[i][0], _interval_det(minor))
-        total = _iadd(total, term) if i % 2 == 0 else _isub(total, term)
-    return total
+    def __mul__(self, other: "Interval") -> "Interval":
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(products), max(products))
 
 
 def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
@@ -465,17 +457,26 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
 
     Each segment matrix entry is an average of one partial over a segment
     inside the convex domain, so it lies in that partial's certified range.
-    If no matrix with entries in these ranges is singular (interval cofactor
-    determinant excluding zero), the criterion holds for every pair.
+    If no matrix with entries in these ranges is singular (an interval
+    determinant excluding zero), the criterion holds for every pair.  The
+    determinant is expansion_det over Interval entries.  Interval products
+    do not distribute, so the expansion order shapes the enclosure: the
+    matrix goes in transposed, which expands down the Jacobian's columns.
+
+    The map has at most 4 variables: above that, the n^2 enclosures on a
+    grid of the default resolution take minutes.
     """
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
     if f.n > 4:
-        raise ValueError("interval determinant implemented for n <= 4")
+        raise ValueError("the interval Jacobian certificate takes at most "
+                         f"4 variables, not {f.n}")
     cells, halves = grid_cells(domain, resolution)
     jm = jacobian_matrix(f)
-    lo, hi = _interval_det([[_enclose(jm[i, j], domain, cells, halves)
-                             for j in range(f.n)] for i in range(f.n)])
+    det = expansion_det([[Interval(*_enclose(jm[i, j], domain, cells, halves))
+                          for i in range(f.n)] for j in range(f.n)],
+                        Interval(_ZERO, _ZERO))
+    lo, hi = det.lo, det.hi
     evidence = {
         "det_range": (lo, hi),
         "cells": len(cells),
@@ -493,8 +494,9 @@ def _cderivative(coeffs) -> list[tuple[Fraction, Fraction]]:
 
 
 def _ceval(coeffs, x, y):
-    """(Re, Im) of sum c_k (x+iy)^k by Horner; x, y are rationals or Polys."""
-    re, im = _ZERO, _ZERO
+    """(Re, Im) of sum c_k (x+iy)^k by Horner; x, y are ints, rationals or
+    Polys, and int inputs give ints."""
+    re = im = 0
     for a, b in reversed(coeffs):
         re, im = re * x - im * y + a, re * y + im * x + b
     return re, im
@@ -589,7 +591,7 @@ def _derivative_table(coeffs, cells: LatticeCells
     """(Re f', Im f') at every cell centre, as integers over one denominator.
 
     With d the degree of f' and q the lcm of its denominators, coefficient
-    k is scaled by q * unit^(d - k), so Horner at the integer point X + iY
+    k is scaled by q * unit^(d - k), so _ceval at the integer point X + iY
     gives f'((X + iY) / unit) * q * unit^d.
     """
     der = _cderivative(coeffs)
@@ -599,14 +601,7 @@ def _derivative_table(coeffs, cells: LatticeCells
     scaled = [(_scaled(re, q) * unit ** (degree - k),
                _scaled(im, q) * unit ** (degree - k))
               for k, (re, im) in enumerate(der)]
-    scaled.reverse()
-    table = []
-    for x, y in cells.points:
-        re = im = 0
-        for a, b in scaled:
-            re, im = re * x - im * y + a, re * y + im * x + b
-        table.append((re, im))
-    return table, q * unit ** degree
+    return [_ceval(scaled, x, y) for x, y in cells.points], q * unit ** degree
 
 
 def _half_angle_unit(t: Fraction) -> tuple[Fraction, Fraction]:
@@ -673,12 +668,12 @@ def _scan_gamma(table, h_den: int, g_den: int, slack: Fraction,
     return True, min_margin, min_margin
 
 
-def _rotations_near(gamma: tuple[Fraction, Fraction], steps: int,
-                    count: int = 8) -> list[tuple[Fraction, Fraction]]:
+def _rotations_near(gamma: tuple[Fraction, Fraction], steps: int
+                    ) -> list[tuple[Fraction, Fraction]]:
     """Exact unit vectors bracketing one angle at sub-grid spacing."""
     ur, ui = gamma
     out = []
-    for j in range(-count, count + 1):
+    for j in range(-NEAR_ROTATIONS, NEAR_ROTATIONS + 1):
         if j == 0:
             continue
         cr, ci = _half_angle_unit(Fraction(j, 2 * steps))

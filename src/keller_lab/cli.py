@@ -82,25 +82,29 @@ def _load_second_map(args) -> PolyMap:
     raise ParseError("provide --with FILE or --with-expr components", 0)
 
 
+def _parse_bounds(text: str) -> list[tuple[Fraction, ...]]:
+    """Parse the box 'lo,hi;lo,hi;...' into (lo, hi) pairs."""
+    bounds = [tuple(Fraction(x) for x in pair.split(","))
+              for pair in text.split(";")]
+    if any(len(b) != 2 for b in bounds):
+        raise ValueError("each box coordinate needs lo,hi")
+    return bounds
+
+
 def parse_domain(spec: str) -> certify.ConvexDomain:
     """Parse 'box:lo,hi;lo,hi', 'ball:c1,c2;r', or 'half:BOX|a1,a2,b|...'."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     try:
         if kind == "box":
-            bounds = [tuple(Fraction(x) for x in pair.split(","))
-                      for pair in rest.split(";")]
-            if any(len(b) != 2 for b in bounds):
-                raise ValueError("each box coordinate needs lo,hi")
-            return certify.ConvexDomain.box(bounds)
+            return certify.ConvexDomain.box(_parse_bounds(rest))
         if kind == "ball":
             center_text, _, radius_text = rest.partition(";")
             center = [Fraction(x) for x in center_text.split(",")]
             return certify.ConvexDomain.ball(center, Fraction(radius_text))
         if kind == "half":
             box_text, *constraint_texts = rest.split("|")
-            bounds = [tuple(Fraction(x) for x in pair.split(","))
-                      for pair in box_text.split(";")]
+            bounds = _parse_bounds(box_text)
             constraints = []
             for text in constraint_texts:
                 *normal, rhs = [Fraction(x) for x in text.split(",")]
@@ -122,8 +126,6 @@ def parse_complex_coeffs(text: str) -> list[tuple[Fraction, Fraction]]:
                         Fraction(im_text.strip()) if colon else Fraction(0)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {part.strip()!r}", 0) from exc
-    if not out:
-        raise ParseError("empty coefficient list", 0)
     return out
 
 

@@ -2,8 +2,9 @@
 
 RatMatrix covers the scalar side: elimination, determinants, inverses and
 general linear solving with an explicit nullspace.  PolyMatrix covers
-matrices of polynomials, whose determinant is a Laplace expansion with
-memoised minors that performs no division.
+matrices of polynomials.  expansion_det, a Laplace expansion with memoised
+minors that performs no division, computes the determinant of every
+PolyMatrix and of the interval matrices of certify.
 """
 
 from __future__ import annotations
@@ -248,37 +249,39 @@ class PolyMatrix:
         return RatMatrix([[p.eval(point) for p in row] for row in self.data])
 
     def det(self) -> Poly:
-        """Exact determinant, computed with no division.
-
-        Laplace expansion down the rows, with the minors memoised by column
-        subset.  The minors of the last k rows are keyed by the bit mask of
-        their k columns.  Each row above extends every nonzero minor by each
-        unused column whose entry is nonzero, so a k x k determinant takes
-        at most k * 2^(k-1) products, each of one entry with one minor.
-        """
+        """Exact determinant, computed with no division (expansion_det)."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        zero = Poly.zero(self.n)
-        minors = {1 << j: p for j, p in enumerate(self.data[-1])
-                  if not p.is_zero()}
-        for row in reversed(self.data[:-1]):
-            entries = [(1 << j, p) for j, p in enumerate(row)
-                       if not p.is_zero()]
-            plus: dict[int, Poly] = {}
-            minus: dict[int, Poly] = {}
-            for mask, minor in minors.items():
-                for bit, entry in entries:
-                    if mask & bit:
-                        continue
-                    # the cofactor sign counts the used columns left of bit
-                    side = minus if (mask & (bit - 1)).bit_count() & 1 \
-                        else plus
-                    key = mask | bit
-                    term = entry * minor
-                    side[key] = side[key] + term if key in side else term
-            minors = {}
-            for key in plus.keys() | minus.keys():
-                minor = plus.get(key, zero) - minus.get(key, zero)
-                if not minor.is_zero():
-                    minors[key] = minor
-        return minors.get((1 << self.rows) - 1, zero)
+        return expansion_det(self.data, Poly.zero(self.n))
+
+
+def expansion_det(rows: Sequence[Sequence], zero):
+    """Determinant of a square matrix over a commutative ring, no division.
+
+    The entries need +, - and *, and == against the ring's zero.  Laplace
+    expansion down the rows, with the minors memoised by column subset.
+    The minors of the last k rows are keyed by the bit mask of their k
+    columns.  Each row above extends every nonzero minor by each unused
+    column whose entry is nonzero, so a k x k determinant takes at most
+    k * 2^(k-1) products, each of one entry with one minor.
+    """
+    minors = {1 << j: p for j, p in enumerate(rows[-1]) if p != zero}
+    for row in reversed(rows[:-1]):
+        entries = [(1 << j, p) for j, p in enumerate(row) if p != zero]
+        plus: dict = {}
+        minus: dict = {}
+        for mask, minor in minors.items():
+            for bit, entry in entries:
+                if mask & bit:
+                    continue
+                # the cofactor sign counts the used columns left of bit
+                side = minus if (mask & (bit - 1)).bit_count() & 1 else plus
+                key = mask | bit
+                term = entry * minor
+                side[key] = side[key] + term if key in side else term
+        minors = {}
+        for key in plus.keys() | minus.keys():
+            minor = plus.get(key, zero) - minus.get(key, zero)
+            if minor != zero:
+                minors[key] = minor
+    return minors.get((1 << len(rows)) - 1, zero)

@@ -400,7 +400,7 @@ class ExpansionLimitError(ValueError):
 
 
 # (x1+...+xn)^k has C(k+n-1, n-1) monomials, so dense expansion is capped.
-_EXPANSION_MAX_N = 8
+_EXPANSION_MAX_N = 9
 _EXPANSION_MAX_DEGREE = 10
 
 

@@ -7,7 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (
+    Phase, assume, example, given, settings, strategies as st)
 
 from keller_lab import _kernels, certify, jacobian
 from keller_lab.certify import (
@@ -33,7 +34,7 @@ from keller_lab.certify import (
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import RatMatrix, linear_poly_map
+from keller_lab.linalg import RatMatrix, expansion_det, linear_poly_map
 from keller_lab.parser import parse_map
 from keller_lab.poly import Poly, PolyMap
 
@@ -83,7 +84,7 @@ class TestConvexDomain:
         dom = ConvexDomain.halfspaces(
             [(0, 1), (0, 1)], [((1, 1), -1)])  # x + y <= -1: empty
         with pytest.raises(ValueError):
-            sample_point(dom, random.Random(0), max_tries=50)
+            sample_point(dom, random.Random(0))
 
 
 class TestGridEnclosure:
@@ -900,6 +901,95 @@ class TestLatticeOracles:
             inp, resolution, steps)
         assert (shear_margin_grid(inp, resolution, gamma)
                 == oracle_shear_margin_grid(inp, resolution, gamma))
+
+
+# -- the interval determinant against the cofactor recursion it replaced ----
+
+def oracle_interval_det(m):
+    """The column-0 cofactor recursion on (lo, hi) pairs that computed the
+    interval Jacobian's determinant before it moved onto expansion_det."""
+    def imul(a, b):
+        products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
+        return min(products), max(products)
+
+    def iadd(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def isub(a, b):
+        return a[0] - b[1], a[1] - b[0]
+
+    size = len(m)
+    if size == 1:
+        return m[0][0]
+    if size == 2:
+        return isub(imul(m[0][0], m[1][1]), imul(m[0][1], m[1][0]))
+    total = (Fraction(0), Fraction(0))
+    for i in range(size):
+        minor = [[m[r][c] for c in range(1, size)]
+                 for r in range(size) if r != i]
+        term = imul(m[i][0], oracle_interval_det(minor))
+        total = iadd(total, term) if i % 2 == 0 else isub(total, term)
+    return total
+
+
+def interval_det(m):
+    """expansion_det of the transposed matrix, as certify runs it."""
+    det = expansion_det([[certify.Interval(*m[i][j]) for i in range(len(m))]
+                         for j in range(len(m))],
+                        certify.Interval(Fraction(0), Fraction(0)))
+    return det.lo, det.hi
+
+
+_endpoint = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def interval_matrices(draw):
+    """n x n interval matrices, n = 1..4, with zero and point intervals."""
+    size = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just((Fraction(0), Fraction(0))),
+        _endpoint.map(lambda x: (x, x)),
+        st.tuples(_endpoint, _endpoint).map(lambda pair: tuple(sorted(pair))))
+    return [[draw(entry) for _ in range(size)] for _ in range(size)]
+
+
+@st.composite
+def interval_jacobian_cases(draw):
+    n = draw(st.integers(1, 4))
+    polys = lattice_polys(n)
+    f = PolyMap([Poly.variable(n, i + 1) + draw(polys) for i in range(n)])
+    return f, ConvexDomain.box(draw(_box_bounds(n))), draw(st.integers(1, 3))
+
+
+class TestIntervalDetOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(interval_matrices())
+    @example([[(Fraction(-1), Fraction(2)), (Fraction(1), Fraction(3)),
+               (Fraction(0), Fraction(1))],
+              [(Fraction(2), Fraction(2)), (Fraction(-3), Fraction(-1)),
+               (Fraction(-1), Fraction(1))],
+              [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(4)),
+               (Fraction(-2), Fraction(1))]])
+    def test_expansion_matches_the_cofactor_recursion(self, m):
+        assert interval_det(m) == oracle_interval_det(m)
+
+    # no shrinking: a failing case shrank for minutes, as each replay
+    # builds a grid and n^2 enclosures
+    @settings(deadline=None, max_examples=40,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(interval_jacobian_cases())
+    def test_certificate_matches_the_cofactor_recursion(self, case):
+        f, domain, resolution = case
+        cert = certify_injective_interval_jacobian(f, domain, resolution)
+        cells, halves = grid_cells(domain, resolution)
+        jm = jacobian_matrix(f)
+        lo, hi = oracle_interval_det(
+            [[certify._enclose(jm[i, j], domain, cells, halves)
+              for j in range(f.n)] for i in range(f.n)])
+        assert cert.evidence == {"det_range": (lo, hi), "cells": len(cells),
+                                 "resolution": resolution}
+        assert cert.status == (PROVEN if lo > 0 or hi < 0 else INCONCLUSIVE)
 
 
 class TestGridCap:

@@ -1,5 +1,7 @@
 """Command-line interface: reports, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from keller_lab import cli
@@ -314,6 +318,17 @@ class TestExitCodes:
         assert captured.err == ("error: variable count must be between "
                                 "1 and 9 (at position 0)\n")
 
+    @pytest.mark.parametrize("spec", ["box:0,1,2;0,1", "half:0,1,2;0,1|1,1,1",
+                                      "box:0;0,1", "half:0,1;1|1,1,1"])
+    def test_box_coordinate_without_a_pair_is_two(self, capsys, spec):
+        code = cli.main(["inject-sample", "--expr", "x", "--expr", "y",
+                         "--domain", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: bad domain {spec!r}: each box "
+                                "coordinate needs lo,hi (at position 0)\n")
+
     def test_negative_denominator_bits_is_one(self, capsys):
         code = cli.main(["inject-sample", "--expr", "x", "--expr", "y",
                          "--domain", "box:-1,1;-1,1", "--denom-bits", "-1"])
@@ -339,6 +354,29 @@ class TestExitCodes:
         assert cli.main(["keller", "--expr", "x", "--expr", "y",
                          "--n", "2"]) == 0
         capsys.readouterr()
+
+
+# a zero-sum shift map in 9 variables, the parser's limit, of degree 2
+Z9 = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
+SHIFT_9 = ([f"x1 + 2*{Z9}^2", f"x2 - 3*{Z9}^2", f"x3 + {Z9}^2"]
+           + [f"x{i}" for i in range(4, 10)])
+
+
+@pytest.mark.parametrize("command", ["inverse", "decompose", "member",
+                                     "inject-symbolic"])
+def test_nine_variable_shift_map(capsys, command):
+    report = run_json(capsys, [command] + expr_flags(SHIFT_9))
+    result = report["result"]
+    if command == "inverse":
+        inverse = parse_map(result["map"])
+        assert parse_map(SHIFT_9).compose(inverse) == parse_map(
+            [f"x{i}" for i in range(1, 10)])
+    elif command == "decompose":
+        assert result["verified"] is True
+    elif command == "member":
+        assert result["member"] is True
+    else:
+        assert result["status"] == "proven-injective"
 
 
 class TestOutputModes:
@@ -454,3 +492,125 @@ def test_readme_example_runs(capsys, data_dir, argv):
     argv = [str(data_dir / README_FILES[a]) if a in README_FILES else a
             for a in argv]
     run_json(capsys, argv)
+
+
+# -- fuzz: every subcommand, good and malformed input -------------------------
+
+# maps by variable count, and ones that do not parse or do not fit
+GOOD_MAPS = {
+    1: [["x^3 + x"], ["x^2"]],
+    2: [["x + y^2", "y"], ["x^3 + x", "y"], ["x^2", "y"], ["x + 2*y^3", "y"],
+        ["x + 1/8*(x+y)^2", "y - 1/8*(x+y)^2"]],
+    3: [["x1 + (x1+x2+x3)^2", "x2 - (x1+x2+x3)^2", "x3"]],
+    4: [["x1 + x4^2", "x2", "x3 - x1^3", "x4"]],
+}
+BAD_EXPRS = ["x +", "(", "x^^2", "", "1/0", "2*", "x*y*q", "-x", "x^1001",
+             "9" * 40, "x4"]
+GOOD_DOMAINS = {
+    1: ["box:0,1", "box:-1,1/2", "ball:0;1"],
+    2: ["box:-1,1;-1,1", "box:1/10,1;-1,1", "ball:0,0;1", "ball:1/3,0;1/2",
+        "half:-1,1;-1,1|1,1,0", "box:1,1;2,2"],
+    3: ["box:-1,1;-1,1;-1,1", "ball:0,0,0;1/2"],
+    4: ["box:-1,1;-1,1;-1,1;-1,1"],
+}
+BAD_DOMAINS = ["box:1,0;0,1", "ball:0,0;-1", "ball:0,0", "half:0,1;0,1|1,1,-1",
+               "half:0,1,2;0,1|1,1,1", "half:0,1|1,1,1", "box:", "box:a,b",
+               "box:1/0,1", "circle:1", "", "box:-1,1;-1,1;-1,1"]
+GOOD_COEFFS = ["0,1", "0,1:1", "0,0,1", "1,1/2,1/3", "0,1: 0,0:1/4", "5",
+               "0,1,1/4", "1/2:-1/3,1", "0,1,0,1/8"]
+BAD_COEFFS = ["1:", ",", "", "a", "1/0", "0,,1"]
+DATA_FILES = ["example_family.txt", "example_map.txt", "planar_map.txt",
+              "rank_one_family.txt", "missing.txt"]
+MAP_COMMANDS = ["jacobian", "keller", "inverse", "compose", "decompose",
+                "member", "normal-form-2d", "inject-sample",
+                "inject-symbolic", "pvalent"]
+FUZZ_SECONDS = 5
+
+
+def _pick(draw, good, bad):
+    """A good value three times in four, else a malformed one."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0
+                                else good))
+
+
+def _fuzz_map_flags(draw, data_dir, n, file_flag, expr_flag):
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return [file_flag, str(data_dir / draw(st.sampled_from(DATA_FILES)))]
+    exprs = (draw(st.lists(st.sampled_from(BAD_EXPRS + ["x", "y"]),
+                           max_size=3)) if kind == 1
+             else draw(st.sampled_from(GOOD_MAPS[n])))
+    return [a for e in exprs for a in (expr_flag, e)]
+
+
+@st.composite
+def cli_argvs(draw, data_dir):
+    """argv for one cli.main call: each subcommand with a mix of good and
+    malformed maps, domains, coefficients, grids and counts, kept small
+    enough that a valid request runs in milliseconds."""
+    command = draw(st.sampled_from(MAP_COMMANDS + ["shear-check",
+                                                   "analytic-check"]))
+    n = draw(st.integers(1, 4))
+    argv = [command]
+    if command in MAP_COMMANDS:
+        argv += _fuzz_map_flags(draw, data_dir, n, "--map", "--expr")
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--n", str(_pick(draw, [n], [0, 10, -1]))]
+    if command == "compose":
+        argv += _fuzz_map_flags(draw, data_dir, n, "--with", "--with-expr")
+    if command == "inject-sample":
+        argv += ["--domain", _pick(draw, GOOD_DOMAINS[n], BAD_DOMAINS),
+                 "--trials", str(_pick(draw, [1, 3], [-1, 0])),
+                 "--seed", str(draw(st.integers(0, 5))),
+                 "--denom-bits", str(_pick(draw, [0, 2, 4], [-1]))]
+    if command == "pvalent":
+        for _ in range(draw(st.integers(1, 2))):
+            argv += ["--piece", _pick(draw, GOOD_DOMAINS[n], BAD_DOMAINS)]
+        argv += ["--trials", str(_pick(draw, [1, 3], [-1, 0])),
+                 "--seed", str(draw(st.integers(0, 5)))]
+    if command == "shear-check":
+        argv += ["--h", _pick(draw, GOOD_COEFFS, BAD_COEFFS)]
+        if draw(st.booleans()):
+            argv += ["--g", _pick(draw, GOOD_COEFFS, BAD_COEFFS)]
+        argv += ["--radius", _pick(draw, ["1", "1/2"],
+                                   ["0", "-1", "abc", "1/0"]),
+                 "--gamma-steps", str(_pick(draw, [1, 8, 40],
+                                            [-1, 0, 10 ** 9]))]
+    if command == "analytic-check":
+        argv += ["--coeffs", _pick(draw, GOOD_COEFFS, BAD_COEFFS),
+                 "--domain", _pick(draw, GOOD_DOMAINS[2], BAD_DOMAINS)]
+    plots = command in ("jacobian", "keller", "inverse", "compose",
+                        "shear-check")
+    if plots and draw(st.booleans()):
+        argv.append("--plot-data")
+    # pvalent always gets a grid: its default of 32 is 2^20 cells in 4-D
+    if command == "pvalent" or (plots or command == "analytic-check") and draw(
+            st.booleans()):
+        argv += ["--grid", str(_pick(draw, [1, 2, 4], [-1, 0, 10 ** 7]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--format", _pick(draw, ["json", "csv"], ["xml"])]
+    if draw(st.booleans()):
+        argv.append("--float")
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_main_keeps_the_exit_code_contract(data_dir, data):
+    argv = data.draw(cli_argvs(data_dir))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < FUZZ_SECONDS
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") or "usage:" in err
+        assert "Traceback" not in err
+        return
+    assert err == ""
+    if "csv" not in argv:
+        VALIDATOR.validate(json.loads(out))

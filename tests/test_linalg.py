@@ -6,7 +6,7 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from keller_lab.families import ZShiftMap
@@ -14,12 +14,17 @@ from keller_lab.jacobian import jacobian_matrix, zshift_det_formula
 from keller_lab.linalg import (
     PolyMatrix,
     RatMatrix,
+    expansion_det,
     linear_poly_map,
     rat_solve,
 )
 from keller_lab.poly import Poly, PolyMap
 
 from conftest import rational
+
+# Leibniz-oracle tests skip shrinking: each replay of a failing 6x6 example
+# runs the 720-permutation oracle, so shrinking one took minutes
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 class TestRatMatrix:
@@ -206,7 +211,7 @@ class TestPolyMatrix:
             point = (rational(rng, 3), rational(rng, 3))
             assert m.det().eval(point) == m.eval(point).det()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     @given(poly_matrices())
     def test_det_matches_leibniz(self, rows):
         assert PolyMatrix(rows).det() == leibniz_det(rows)
@@ -259,6 +264,17 @@ def leibniz_det(rows):
         term = prod((rows[i][perm[i]] for i in range(len(perm))), start=1)
         total += -term if inversions % 2 else term
     return total
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(st.integers(1, 6).flatmap(lambda size: st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=3)),
+             min_size=size, max_size=size),
+    min_size=size, max_size=size)))
+def test_expansion_det_matches_leibniz_on_fractions(rows):
+    assert expansion_det(rows, Fraction(0)) == leibniz_det(rows)
 
 
 @st.composite

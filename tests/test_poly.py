@@ -239,12 +239,12 @@ class TestPolyMap:
 
 class TestExpansionGuard:
     def test_default_limits_refuse_large_powers(self):
-        # the caps are n <= 8 variables and degree <= 10
+        # the caps are n <= 9 variables, the parser's limit, and degree <= 10
         with pytest.raises(ExpansionLimitError):
-            z_power(9, 2)
+            z_power(10, 2)
         with pytest.raises(ExpansionLimitError):
             z_power(2, 11)
-        assert z_power(8, 2).degree() == 2
+        assert z_power(9, 2).degree() == 2
         assert z_power(2, 10).degree() == 10
 
     def test_linear_powers_are_never_guarded(self):
