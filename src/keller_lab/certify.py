@@ -58,9 +58,9 @@ BAD_RESOLUTION = "grid resolution must be at least 1"
 # has exactly this many cells
 MAX_GRID = 1 << 20
 
-# lattice points sample_point draws before it calls a domain empty
+# lattice points sample_point draws before it calls a domain empty, and
+# exact rotations the shear scan retries on each side of its best angle
 SAMPLE_TRIES = 2000
-# exact rotations on each side of the best angle that the shear scan retries
 NEAR_ROTATIONS = 8
 
 
@@ -458,19 +458,16 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
     Each segment matrix entry is an average of one partial over a segment
     inside the convex domain, so it lies in that partial's certified range.
     If no matrix with entries in these ranges is singular (an interval
-    determinant excluding zero), the criterion holds for every pair.  The
-    determinant is expansion_det over Interval entries.  Interval products
-    do not distribute, so the expansion order shapes the enclosure: the
-    matrix goes in transposed, which expands down the Jacobian's columns.
-
-    The map has at most 4 variables: above that, the n^2 enclosures on a
-    grid of the default resolution take minutes.
+    determinant excluding zero), the criterion holds for every pair.
+    Interval products do not distribute, so the expansion order shapes the
+    bound: expansion_det gets the transposed matrix, to expand down the
+    Jacobian's columns.
     """
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
+    # over 4 variables, n^2 enclosures on a default grid take minutes
     if f.n > 4:
-        raise ValueError("the interval Jacobian certificate takes at most "
-                         f"4 variables, not {f.n}")
+        raise ValueError("the interval Jacobian certificate takes n <= 4")
     cells, halves = grid_cells(domain, resolution)
     jm = jacobian_matrix(f)
     det = expansion_det([[Interval(*_enclose(jm[i, j], domain, cells, halves))

@@ -1,10 +1,9 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
 RatMatrix covers the scalar side: elimination, determinants, inverses and
-general linear solving with an explicit nullspace.  PolyMatrix covers
-matrices of polynomials.  expansion_det, a Laplace expansion with memoised
-minors that performs no division, computes the determinant of every
-PolyMatrix and of the interval matrices of certify.
+general linear solving with an explicit nullspace.  expansion_det, a
+division-free Laplace expansion, computes the determinant of every
+PolyMatrix (a matrix of polynomials) and of certify's interval matrices.
 """
 
 from __future__ import annotations
@@ -268,8 +267,7 @@ def expansion_det(rows: Sequence[Sequence], zero):
     minors = {1 << j: p for j, p in enumerate(rows[-1]) if p != zero}
     for row in reversed(rows[:-1]):
         entries = [(1 << j, p) for j, p in enumerate(row) if p != zero]
-        plus: dict = {}
-        minus: dict = {}
+        plus, minus = {}, {}
         for mask, minor in minors.items():
             for bit, entry in entries:
                 if mask & bit:
