@@ -11,6 +11,7 @@ from keller_lab._purepoly import (  # noqa: F401
     IMPLEMENTATION,
     add_terms,
     compose_terms,
+    det_terms,
     eval_terms,
     mul_terms,
     pow_terms,

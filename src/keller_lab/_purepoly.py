@@ -5,7 +5,9 @@ nonzero Fraction coefficient.  The zero polynomial is the empty dict.  Every
 kernel expects canonical inputs (no zero coefficients, keys of equal length)
 and returns a canonical dict.  The hot loops run on plain ints: exponent
 tuples packed into one int, coefficients as integer numerators over a
-shared denominator, and one Fraction built per result term.
+shared denominator, and one Fraction built per result term.  Products,
+powers, compositions, segment moments and polynomial determinants
+(det_terms, which every PolyMatrix.det runs) all work this way.
 """
 
 from __future__ import annotations
@@ -231,6 +233,67 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
         for key, num in product.items():
             acc[key] = get(key, 0) + s * num
     return _unpacked(acc, base, n, q * shared_pows[deg])
+
+
+def det_terms(rows: list, n: int) -> dict:
+    """Term dict of the determinant of a square matrix of term dicts.
+
+    ``rows`` holds k rows of k term dicts in n variables.  The masked
+    Laplace expansion of ``linalg.expansion_det`` runs on plain ints, and
+    no polynomial is ever divided:
+
+    * Every entry is packed once, in base ``1 + (the sum of the row
+      degrees)`` (at least 2), which exceeds the degree of every minor, and
+      scaled to integer numerators over ``D``, the LCM of all the entries'
+      denominators.
+    * The minors of the last rows are keyed by the bit mask of their
+      columns.  Each row above extends every nonzero minor by each unused
+      column whose entry is nonzero: a ``_convolve``-style product of the
+      entry, its cofactor sign folded in, and the minor, summed in place
+      into the one int dict of the extended mask.  Zero numerators and
+      empty minors are dropped after each row.
+    * The full minor is unpacked once, over ``D**k``.
+    """
+    base = max(2, 1 + sum(max((_degree(p) for p in row if p), default=0)
+                          for row in rows))
+    packs = [[(1 << j, _packed(p, base)) for j, p in enumerate(row) if p]
+             for row in rows]
+    den = lcm(*[d for row in packs for _, (_, d) in row])
+    packed = []
+    for row in packs:
+        entries = []
+        for bit, (terms, d) in row:
+            terms = {key: num * (den // d) for key, num in terms.items()}
+            entries.append((bit, terms,
+                            {key: -num for key, num in terms.items()}))
+        packed.append(entries)
+
+    minors = {bit: terms for bit, terms, _ in packed[-1]}
+    for entries in reversed(packed[:-1]):
+        sums: dict = {}
+        for mask, minor in minors.items():
+            for bit, plus, minus in entries:
+                if mask & bit:
+                    continue
+                acc = sums.get(mask | bit)
+                if acc is None:
+                    acc = sums[mask | bit] = {}
+                get = acc.get
+                # the cofactor sign counts the used columns left of bit
+                entry = minus if (mask & (bit - 1)).bit_count() & 1 else plus
+                for key_e, num_e in entry.items():
+                    for key_m, num_m in minor.items():
+                        key = key_e + key_m
+                        acc[key] = get(key, 0) + num_e * num_m
+        minors = {}
+        for mask, acc in sums.items():
+            acc = {key: num for key, num in acc.items() if num}
+            if acc:
+                minors[mask] = acc
+    full = minors.get((1 << len(rows)) - 1)
+    if full is None:
+        return {}
+    return _unpacked(full, base, n, den ** len(rows))
 
 
 def segment_moments(monos, start: tuple, end: tuple) -> tuple[dict, int]:

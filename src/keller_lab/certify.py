@@ -20,8 +20,9 @@ Three certifier flavours, in decreasing strength:
     cell tests, the polynomial values and the shear scan run on ints, and
     a Fraction is built only for a bound or margin that is reported.  A
     grid, and a shear scan's angle list, holds at most MAX_GRID points.
-    The interval Jacobian's determinant is linalg.expansion_det, the one
-    that PolyMatrix.det runs, over Interval entries;
+    The interval Jacobian's determinant is linalg.expansion_det, the
+    Laplace expansion that PolyMatrix.det runs on packed ints, over
+    Interval entries;
   * randomized pair sampling can only find failure witnesses or report
     statistics - it never claims a proof.
 

@@ -5,16 +5,18 @@ elapsed_ms}.  Numbers are exact fractions unless --float is given; --format
 csv flattens the result into key,value rows; --plot-data, where a
 subcommand offers it, swaps the result for a planar grid suitable for
 external plotting.  Exit codes: 0 success, 1 domain error, 2 parse/usage
-error.
+error.  The argument parser is built once per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import is_dataclass, fields as dataclass_fields
@@ -232,6 +234,15 @@ def _certificate_payload(cert: certify.Certificate) -> dict:
 def _cmd_inject_sample(args):
     f, digest = _load_map(args)
     domain = parse_domain(args.domain)
+    # a witness reports f's values, whose denominators reach
+    # 2^(k * deg f): refuse before sampling what could never be printed
+    digits = max(f.degree(), 1) * args.denom_bits * math.log10(2)
+    # Pythons before 3.10.7 convert ints of any length: no limit, 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(
+            f"--denom-bits {args.denom_bits} gives values of about "
+            f"{digits:.0f} digits, over the {limit}-digit limit")
     cert = certify.certify_injective_sampling(
         f, domain, args.trials, args.seed, args.denom_bits)
     return _certificate_payload(cert), digest
@@ -322,7 +333,9 @@ def _add_plot_flags(sub):
     _add_grid_flag(sub)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, on first use."""
     top = argparse.ArgumentParser(
         prog="keller-lab",
         description="Exact construction, inversion, factorization and "

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
 RatMatrix covers the scalar side: elimination, determinants, inverses and
-general linear solving with an explicit nullspace.  expansion_det, a
-division-free Laplace expansion, computes the determinant of every
-PolyMatrix (a matrix of polynomials) and of certify's interval matrices.
+general linear solving with an explicit nullspace.  The determinant of a
+PolyMatrix (a matrix of polynomials) runs on the packed-int kernel
+_purepoly.det_terms, a division-free Laplace expansion.  expansion_det is
+the same expansion over any commutative ring; it serves only certify's
+interval matrices.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
 
+from keller_lab import _kernels
 from keller_lab.poly import Poly, PolyMap, as_rational
 
 _ZERO = Fraction(0)
@@ -248,17 +251,22 @@ class PolyMatrix:
         return RatMatrix([[p.eval(point) for p in row] for row in self.data])
 
     def det(self) -> Poly:
-        """Exact determinant, computed with no division (expansion_det)."""
+        """Exact determinant, computed with no division by the packed-int
+        kernel det_terms: expansion_det's Laplace expansion, on packed int
+        terms over one shared denominator."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        return expansion_det(self.data, Poly.zero(self.n))
+        return Poly._wrap(self.n, _kernels.det_terms(
+            [[p.terms for p in row] for row in self.data], self.n))
 
 
 def expansion_det(rows: Sequence[Sequence], zero):
     """Determinant of a square matrix over a commutative ring, no division.
 
-    The entries need +, - and *, and == against the ring's zero.  Laplace
-    expansion down the rows, with the minors memoised by column subset.
+    It serves only certify's interval matrices; PolyMatrix.det runs the
+    same expansion on packed ints (_purepoly.det_terms).  The entries need
+    +, - and *, and == against the ring's zero.  Laplace expansion down
+    the rows, with the minors memoised by column subset.
     The minors of the last k rows are keyed by the bit mask of their k
     columns.  Each row above extends every nonzero minor by each unused
     column whose entry is nonzero, so a k x k determinant takes at most

@@ -338,6 +338,20 @@ class TestExitCodes:
         assert captured.err == \
             "error: denominator bits must be non-negative\n"
 
+    def test_huge_denominator_bits_fail_fast(self, capsys):
+        # the witness values would have about 60206 digits: refused before
+        # any pair is sampled, not after
+        start = time.perf_counter()
+        code = cli.main(["inject-sample", "--expr", "x^2", "--expr", "y",
+                         "--domain", "box:-1,1;-1,1", "--denom-bits",
+                         "100000", "--trials", "40"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --denom-bits 100000 ")
+        assert "digit" in captured.err
+
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
         code = cli.main(["keller", "--expr", "-x", "--expr", "y",
@@ -443,6 +457,75 @@ def test_flags_a_subcommand_ignores_are_usage_errors(capsys, data_dir,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+ELAPSED = re.compile(r'elapsed_ms(": |,)[-+.e0-9]+')
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one cli.main call, elapsed_ms blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, ELAPSED.sub("elapsed_ms", out.getvalue()), err.getvalue()
+
+
+def parser_sequence(data_dir):
+    """Every subcommand once, with --help, an unknown subcommand, a missing
+    required flag and a dangling --expr between them."""
+    family = str(data_dir / "example_family.txt")
+    return [
+        ["jacobian", "--expr", "x + y^2", "--expr", "y"],
+        ["--help"],
+        ["keller", "--map", family],
+        ["inverse", "--map", family, "--format", "csv"],
+        ["nosuch", "--expr", "x"],
+        ["compose", "--map", family, "--with", family],
+        ["decompose", "--map", family],
+        ["inject-sample", *PLANAR],
+        ["member", "--map", str(data_dir / "rank_one_family.txt")],
+        ["normal-form-2d", "--expr", "x + 2*y^3", "--expr", "y"],
+        ["keller", "--expr", "x", "--expr"],
+        ["inject-sample", "--expr", "x^2", "--expr", "y", "--domain",
+         "box:-1,1;-1,1", "--trials", "5"],
+        ["inject-symbolic", "--map", family],
+        ["keller", "--help"],
+        ["shear-check", "--h", "0,1", "--gamma-steps", "8", "--float"],
+        ["analytic-check", "--coeffs", "0,1", "--domain", "box:-1,1;-1,1",
+         "--grid", "4"],
+        ["pvalent", *PLANAR, "--piece", "box:-1,1;-1,1", "--grid", "4"],
+    ]
+
+
+def test_cached_parser_matches_a_fresh_one(data_dir):
+    sequence = parser_sequence(data_dir)
+    assert {argv[0] for argv in sequence} >= set(cli._HANDLERS)
+    fresh = []
+    for argv in sequence:
+        cli.build_arg_parser.cache_clear()
+        fresh.append(_run_main(argv))
+    cli.build_arg_parser.cache_clear()
+    cached = [_run_main(argv) for argv in sequence]
+    parser = cli.build_arg_parser()
+    assert cli.build_arg_parser() is parser
+    assert cached == fresh
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+def test_cached_parser_keeps_no_list_between_calls(data_dir):
+    _, args = cli.build_report(["pvalent", "--expr", "x", "--expr", "y",
+                                "--piece", "box:-1,0;-1,1",
+                                "--piece", "box:0,1;-1,1", "--grid", "2"])
+    assert args.expr == ["x", "y"]
+    assert args.piece == ["box:-1,0;-1,1", "box:0,1;-1,1"]
+    _, args = cli.build_report(["pvalent", "--expr", "x^3 + x",
+                                "--piece", "box:-1,1", "--grid", "2"])
+    assert args.expr == ["x^3 + x"]
+    assert args.piece == ["box:-1,1"]
+    _, args = cli.build_report(
+        ["keller", "--map", str(data_dir / "example_family.txt")])
+    assert args.expr is None
 
 
 class TestConsoleScript:

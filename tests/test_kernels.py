@@ -1,13 +1,15 @@
 """Contracts of the term-dict kernels, checked against independent oracles."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import keller_lab
 from keller_lab import _kernels, _purepoly
+from keller_lab.linalg import expansion_det
 from keller_lab.poly import Poly
 
 
@@ -119,6 +121,33 @@ POW_OPERANDS = [
     {(1, 0): Fraction(1), (0, 1): Fraction(-1)},
     {(1, 0): Fraction(1, 3), (0, 2): Fraction(2, 5), (0, 0): Fraction(-1, 7)},
 ]
+
+
+def leibniz_terms(rows, n):
+    """Oracle: the Leibniz sum of signed products, built with Poly + and *."""
+    total = Poly.zero(n)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = Poly.const(n, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * Poly(n, rows[i][j])
+        total = total + term
+    return total.terms
+
+
+# the Leibniz oracle skips shrinking: replaying a failing 5x5 example runs
+# 120 products of Poly
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+# square matrices of term dicts, sizes 1-5 in 0-3 variables, zero entries
+# included
+det_cases = st.tuples(st.integers(1, 5), st.integers(0, 3)).flatmap(
+    lambda shape: st.tuples(st.just(shape[1]), st.lists(
+        st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * shape[1]),
+                                 coefficients, max_size=3),
+                 min_size=shape[0], max_size=shape[0]),
+        min_size=shape[0], max_size=shape[0])))
 
 
 class TestLaneSelection:
@@ -331,3 +360,67 @@ class TestKernelContracts:
         for monos, start, end, want in cases:
             moments, unit = kernel.segment_moments(monos, start, end)
             assert {m: Fraction(v, unit) for m, v in moments.items()} == want
+
+    def test_det_results_are_canonical(self, kernel):
+        one = Fraction(1)
+        x, y = {(1, 0): one}, {(0, 1): Fraction(-2, 3)}
+        rows = [[x, y], [y, {(1, 0): Fraction(1, 2), (0, 0): one}]]
+        before = [[dict(p) for p in row] for row in rows]
+        got = kernel.det_terms(rows, 2)
+        # x * (x/2 + 1) - (2/3 y)^2
+        assert got == {(2, 0): Fraction(1, 2), (1, 0): one,
+                       (0, 2): Fraction(-4, 9)}
+        assert all(isinstance(c, Fraction) and c for c in got.values())
+        assert rows == before
+
+    def test_det_one_by_one_and_constants(self, kernel):
+        entry = {(2, 1): Fraction(-3, 4), (0, 0): Fraction(5)}
+        assert kernel.det_terms([[entry]], 2) == entry
+        assert kernel.det_terms([[{}]], 2) == {}
+        # every row degree 0: the packing base is its floor of 2, in
+        # one variable and in none
+        const = [[{(0,): Fraction(c)} for c in row]
+                 for row in ((3, 1, 0), (1, 2, 1), (0, 1, 4))]
+        assert kernel.det_terms(const, 1) == {(0,): Fraction(17)}
+        assert (kernel.det_terms([[{(): Fraction(1, 2)}, {(): Fraction(3)}],
+                                  [{(): Fraction(1, 5)}, {(): Fraction(2)}]],
+                                 0) == {(): Fraction(2, 5)})
+
+    def test_det_cancels_to_zero(self, kernel):
+        one = Fraction(1)
+        x, y, c = {(1, 0): one}, {(0, 1): one}, {(0, 0): one}
+        xy = {(1, 1): one}
+        # equal rows; x * y - xy * 1 with every term cancelling
+        assert kernel.det_terms([[x, y], [x, y]], 2) == {}
+        assert kernel.det_terms([[x, xy], [c, y]], 2) == {}
+        # a zero row, at the bottom and at the top
+        assert kernel.det_terms([[x, y], [{}, {}]], 2) == {}
+        assert kernel.det_terms([[{}, {}, {}], [x, y, c], [c, x, y]], 2) == {}
+
+    def test_det_coprime_denominators(self, kernel):
+        # (x/3)(y/2) - (1/5)(1/7): the shared denominator 210 must reduce
+        rows = [[{(1, 0): Fraction(1, 3)}, {(0, 0): Fraction(1, 5)}],
+                [{(0, 0): Fraction(1, 7)}, {(0, 1): Fraction(1, 2)}]]
+        assert kernel.det_terms(rows, 2) == {(1, 1): Fraction(1, 6),
+                                             (0, 0): Fraction(-1, 35)}
+
+    def test_det_exponents_never_carry(self, kernel):
+        # row degrees 4 + 4: a packing base of 8 would carry the 8
+        one = Fraction(1)
+        assert (kernel.det_terms([[{(4, 0): one}, {}], [{}, {(4, 0): one}]],
+                                 2) == {(8, 0): one})
+        assert (kernel.det_terms([[{}, {(0, 4): one}], [{(0, 4): one}, {}]],
+                                 2) == {(0, 8): -one})
+        rows = [[{(3, 5, 0): one}, {(0, 0, 0): one}],
+                [{(0, 0, 0): Fraction(2)}, {(5, 3, 7): Fraction(2)}]]
+        assert kernel.det_terms(rows, 3) == {(8, 8, 7): Fraction(2),
+                                             (0, 0, 0): Fraction(-2)}
+
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(case=det_cases)
+    def test_det_matches_expansion_and_leibniz(self, kernel, case):
+        n, rows = case
+        got = kernel.det_terms(rows, n)
+        polys = [[Poly(n, p) for p in row] for row in rows]
+        assert got == expansion_det(polys, Poly.zero(n)).terms
+        assert got == leibniz_terms(rows, n)
