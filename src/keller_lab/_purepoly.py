@@ -290,10 +290,8 @@ def det_terms(rows: list, n: int) -> dict:
             acc = {key: num for key, num in acc.items() if num}
             if acc:
                 minors[mask] = acc
-    full = minors.get((1 << len(rows)) - 1)
-    if full is None:
-        return {}
-    return _unpacked(full, base, n, den ** len(rows))
+    return _unpacked(minors.get((1 << len(rows)) - 1, {}), base, n,
+                     den ** len(rows))
 
 
 def segment_moments(monos, start: tuple, end: tuple) -> tuple[dict, int]:
