@@ -63,25 +63,23 @@ def to_jsonable(value, float_mode: bool = False):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_NO_MAP = "provide --map FILE or --expr for each component"
+
+
+def _read_map(path: str | None, exprs: list[str] | None, n: int | None,
+              missing: str) -> PolyMap:
+    """Read a map from a map file or from component expressions."""
+    if path:
+        return parsing.parse_map_file(Path(path).read_text(encoding="utf-8"))
+    if exprs:
+        return parsing.parse_map(list(exprs), n)
+    raise ParseError(missing, 0)
+
+
 def _load_map(args) -> tuple[PolyMap, str]:
     """Load a map from --map FILE or --expr components; returns (map, digest)."""
-    if getattr(args, "map", None):
-        text = Path(args.map).read_text(encoding="utf-8")
-        f = parsing.parse_map_file(text)
-    elif getattr(args, "expr", None):
-        f = parsing.parse_map(list(args.expr), getattr(args, "n", None))
-    else:
-        raise ParseError("provide --map FILE or --expr for each component", 0)
+    f = _read_map(args.map, args.expr, args.n, _NO_MAP)
     return f, _digest(canonical_map_text(f))
-
-
-def _load_second_map(args) -> PolyMap:
-    if getattr(args, "with_map", None):
-        return parsing.parse_map_file(
-            Path(args.with_map).read_text(encoding="utf-8"))
-    if getattr(args, "with_expr", None):
-        return parsing.parse_map(list(args.with_expr), getattr(args, "n", None))
-    raise ParseError("provide --with FILE or --with-expr components", 0)
 
 
 def _parse_bounds(text: str) -> list[tuple[Fraction, ...]]:
@@ -183,8 +181,9 @@ def _cmd_inverse(args):
 
 
 def _cmd_compose(args):
-    outer, _ = _load_map(args)
-    inner = _load_second_map(args)
+    outer = _read_map(args.map, args.expr, args.n, _NO_MAP)
+    inner = _read_map(args.with_map, args.with_expr, args.n,
+                      "provide --with FILE or --with-expr components")
     composed = outer.compose(inner)
     digest = _digest(canonical_map_text(outer), canonical_map_text(inner))
     if args.plot_data:

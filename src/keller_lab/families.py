@@ -213,19 +213,20 @@ def zshift_from_map(f: PolyMap) -> ZShiftMap:
     """Recognize a plain PolyMap as a z-shift map, or raise ValueError.
 
     The shift of each coordinate, if it is a polynomial in z at all, is
-    determined by its restriction to the x1-axis (where z = x1); the
-    candidate table is then verified against f symbolically.
+    determined by its restriction to the x1-axis (where z = x1), that is,
+    by its terms x1^j; the candidate table is then verified against f
+    symbolically.
     """
     if isinstance(f, ZShiftMap):
         return f
     n = f.n
-    origin = (0,) * n
-    axis = tuple(1 if i == 0 else 0 for i in range(n))
     rows = []
     width = 0
     for k in range(n):
         shift = f.components[k] - Poly.variable(n, k + 1)
-        cs = shift.restrict_segment(origin, axis)
+        cs = univariate_coefficients({(mono[0],): c for mono, c
+                                      in shift.terms.items()
+                                      if not any(mono[1:])})
         if cs[0] != 0 or (len(cs) > 1 and cs[1] != 0):
             raise ValueError(
                 "map is not a z-shift map: shifts must start at degree 2")

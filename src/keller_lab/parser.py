@@ -7,6 +7,10 @@ variables).  ``^`` takes a non-negative integer literal of at most
 ``MAX_EXPONENT``.  Multiplication is always explicit.  Pretty-printed
 polynomials re-parse to themselves.
 
+An expression is read in one pass: after one regex search for a character
+that no token can hold, a recursive descent matches each token at its
+cursor when it needs it.  Products and powers are bounded by ``MAX_WORK``.
+
 Map files hold either one component expression per line (``#`` comments
 allowed) or a key-value family description:
 
@@ -23,8 +27,8 @@ allowed) or a key-value family description:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from keller_lab.families import (
     RankOneSpec,
@@ -44,102 +48,90 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    position: int
+# A token is a (kind, text, position) tuple.  Its kind is "int", "name",
+# the operator character itself, or "" at the end of the text.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.?))")
+_KINDS = (None, "int", "name", None)
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_+\-*^/()]")
 
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*^/()])
-""", re.VERBOSE)
-
-_OP_KINDS = {"+": "plus", "-": "minus", "*": "star", "^": "caret",
-             "/": "slash", "(": "lparen", ")": "rparen"}
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup == "int":
-            tokens.append(Token("int", match.group(), pos))
-        elif match.lastgroup == "name":
-            tokens.append(Token("name", match.group(), pos))
-        elif match.lastgroup == "op":
-            tokens.append(Token(_OP_KINDS[match.group()], match.group(), pos))
-        pos = match.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
-
-
-# Each '(' and each unary '-' costs the recursive-descent parser stack
-# frames (five per parenthesis), so nesting is capped well below Python's
-# recursion limit.
+# Each '(' costs the recursive-descent parser four stack frames and each
+# unary '-' one, so nesting is capped well below Python's recursion limit.
 MAX_NESTING = 100
 
 # Powering repeats one multiplication per unit of the exponent, so a literal
 # like x^100000000 would never finish; exponents are capped before powering.
 MAX_EXPONENT = 1000
 
+# Multiply-adds that one product or power may take, bounded before the
+# kernel runs: the bound is 1.25e7 for (x1+...+x9)^12, 2.0e6 for
+# (x+1)^1000 and 3.9e12 for (x1+...+x9)^60.
+MAX_WORK = 1 << 24
 
-def _literal(tok: Token) -> int:
+
+def _literal(tok) -> int:
+    _, text, position = tok
     try:
-        return int(tok.text)
+        return int(text)
     except ValueError as exc:  # longer than int() converts (4300 digits)
         raise ParseError(
-            f"integer literal of {len(tok.text)} digits is too long",
-            tok.position) from exc
+            f"integer literal of {len(text)} digits is too long",
+            position) from exc
+
+
+def _power_work(base: Poly, k: int) -> int:
+    """An upper bound on the multiply-adds of ``base ** k``: k - 1 products
+    of base by a partial power, which has no more terms than the multisets
+    of k terms of base or the monomials of degree <= k * deg(base) in the v
+    variables that base uses."""
+    t = len(base)
+    if k < 2 or not t:
+        return 0
+    v = sum(map(any, zip(*base.terms)))
+    terms = min(comb(t + k - 1, k), comb(v + k * base.degree(), v))
+    return (k - 1) * t * terms
 
 
 class _Parser:
+    """Recursive descent; ``tok`` is the current token, ``cursor`` the index
+    just past it."""
+
     def __init__(self, text: str, n: int):
-        self.tokens = tokenize(text)
-        self.index = 0
+        stray = _STRAY_RE.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}",
+                             stray.start())
+        self.text = text
         self.n = n
         self.depth = 0
+        self.tok, self.cursor = None, 0
+        self.take()
 
-    def nest(self, tok: Token) -> None:
+    def take(self) -> tuple[str, str, int]:
+        """Return the current token and match the next one at the cursor."""
+        tok = self.tok
+        m = _TOKEN_RE.match(self.text, self.cursor)
+        text = m.group(m.lastindex)
+        self.tok = (_KINDS[m.lastindex] or text, text, m.start(m.lastindex))
+        self.cursor = m.end()
+        return tok
+
+    def nest(self, tok) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(
                 f"expression nests deeper than {MAX_NESTING} levels of "
-                "parentheses and unary minus", tok.position)
-
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.position)
-        return self.advance()
+                "parentheses and unary minus", tok[2])
 
     def parse(self) -> Poly:
         value = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.position)
+        if self.tok[0]:
+            raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
         return value
 
     def expression(self) -> Poly:
         value = self.term()
-        while self.peek().kind in ("plus", "minus"):
-            if self.advance().kind == "plus":
+        while self.tok[0] in ("+", "-"):
+            if self.take()[0] == "+":
                 value = value + self.term()
             else:
                 value = value - self.term()
@@ -147,67 +139,77 @@ class _Parser:
 
     def term(self) -> Poly:
         value = self.factor()
-        while self.peek().kind == "star":
-            self.advance()
-            value = value * self.factor()
+        while self.tok[0] == "*":
+            star = self.take()
+            right = self.factor()
+            if len(value) * len(right) > MAX_WORK:
+                raise ParseError(
+                    f"product of {len(value)} by {len(right)} terms exceeds "
+                    f"the limit of {MAX_WORK} multiply-adds", star[2])
+            value = value * right
         return value
 
     def factor(self) -> Poly:
-        if self.peek().kind == "minus":
-            self.nest(self.advance())
+        if self.tok[0] == "-":
+            self.nest(self.take())
             value = -self.factor()
             self.depth -= 1
             return value
-        return self.power()
-
-    def power(self) -> Poly:
         base = self.atom()
-        if self.peek().kind == "caret":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal",
-                    tok.position)
-            self.advance()
-            # compare digit counts first: int() refuses literals of more
-            # than 4300 digits
-            digits = tok.text.lstrip("0") or "0"
-            if (len(digits) > len(str(MAX_EXPONENT))
-                    or int(digits) > MAX_EXPONENT):
-                raise ParseError(
-                    f"exponent exceeds the limit of {MAX_EXPONENT}",
-                    tok.position)
-            return base ** int(digits)
-        return base
+        if self.tok[0] != "^":
+            return base
+        self.take()
+        kind, text, position = self.take()
+        if kind != "int":
+            raise ParseError(
+                "exponent must be a non-negative integer literal", position)
+        # compare digit counts first: int() refuses literals of more than
+        # 4300 digits
+        digits = text.lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_EXPONENT))
+                or int(digits) > MAX_EXPONENT):
+            raise ParseError(
+                f"exponent exceeds the limit of {MAX_EXPONENT}", position)
+        k = int(digits)
+        if _power_work(base, k) > MAX_WORK:
+            raise ParseError(
+                f"power {k} of {len(base)} terms exceeds the limit of "
+                f"{MAX_WORK} multiply-adds", position)
+        return base ** k
 
     def atom(self) -> Poly:
-        tok = self.advance()
-        if tok.kind == "int":
+        tok = self.take()
+        kind, text, position = tok
+        if kind == "int":
             value = Fraction(_literal(tok))
-            if (self.peek().kind == "slash"
-                    and self.tokens[self.index + 1].kind == "int"):
-                self.advance()
-                den_tok = self.advance()
+            # a fraction needs an integer token after the '/'
+            if (self.tok[0] == "/"
+                    and _TOKEN_RE.match(self.text, self.cursor).group(1)):
+                self.take()
+                den_tok = self.take()
                 den = _literal(den_tok)
                 if den == 0:
-                    raise ParseError("zero denominator", den_tok.position)
+                    raise ParseError("zero denominator", den_tok[2])
                 value /= den
             return Poly.const(self.n, value)
-        if tok.kind == "name":
+        if kind == "name":
             return Poly.variable(self.n, self.variable_index(tok))
-        if tok.kind == "lparen":
+        if kind == "(":
             self.nest(tok)
             value = self.expression()
-            self.expect("rparen")
+            kind, text, position = self.take()
+            if kind != ")":
+                raise ParseError(
+                    f"expected rparen, found {text or 'end of input'!r}",
+                    position)
             self.depth -= 1
             return value
         raise ParseError(
             f"expected a number, variable or '(', found "
-            f"{tok.text or 'end of input'!r}", tok.position)
+            f"{text or 'end of input'!r}", position)
 
-    def variable_index(self, tok: Token) -> int:
-        name = tok.text
+    def variable_index(self, tok) -> int:
+        _, name, position = tok
         if name == "x" and self.n <= 2:
             return 1
         if name == "y" and self.n == 2:
@@ -218,9 +220,9 @@ class _Parser:
             if index > self.n:
                 raise ParseError(
                     f"unknown variable {name!r} (map has {self.n} "
-                    f"variable{'s' if self.n != 1 else ''})", tok.position)
+                    f"variable{'s' if self.n != 1 else ''})", position)
             return index
-        raise ParseError(f"unknown variable {name!r}", tok.position)
+        raise ParseError(f"unknown variable {name!r}", position)
 
 
 def parse_poly(text: str, n: int) -> Poly:
@@ -306,16 +308,13 @@ def parse_family_file(text: str) -> ZShiftMap:
             raise ParseError(f"line {line_no}: duplicate key {key!r}", 0)
         entries[key] = (match.group(2), line_no)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return entries.pop(key, None)
-
-    family_entry = take("family")
+    family_entry = entries.pop("family", None)
     if family_entry is None:
         raise ParseError("missing 'family' key", 0)
     family = family_entry[0].strip().strip("\"'")
 
-    n_entry = take("n")
-    m_entry = take("m")
+    n_entry = entries.pop("n", None)
+    m_entry = entries.pop("m", None)
     if n_entry is None or m_entry is None:
         raise ParseError("missing 'n' or 'm' key", 0)
     try:
@@ -329,7 +328,7 @@ def parse_family_file(text: str) -> ZShiftMap:
     if family == "zshift":
         rows = []
         for degree in range(2, m + 1):
-            row_entry = take(f"p{degree}")
+            row_entry = entries.pop(f"p{degree}", None)
             if row_entry is None:
                 raise ParseError(f"missing row 'p{degree}'", 0)
             row = _parse_rational_list(*row_entry)
@@ -343,16 +342,14 @@ def parse_family_file(text: str) -> ZShiftMap:
         return keller_zshift_map(table)
 
     if family == "rank-one":
-        gamma_entry = take("gamma")
-        alpha_entry = take("alpha")
+        gamma_entry = entries.pop("gamma", None)
+        alpha_entry = entries.pop("alpha", None)
         if gamma_entry is None:
             raise ParseError("missing 'gamma' key", 0)
         gamma = _parse_rational_list(*gamma_entry)
         if len(gamma) != n:
             raise ParseError(f"gamma needs {n} entries, got {len(gamma)}", 0)
-        alphas: tuple[Fraction, ...] = ()
-        if alpha_entry is not None:
-            alphas = _parse_rational_list(*alpha_entry)
+        alphas = _parse_rational_list(*alpha_entry) if alpha_entry else ()
         if len(alphas) != m - 1:
             raise ParseError(
                 f"alpha needs {m - 1} entries (degrees 2..{m}), "

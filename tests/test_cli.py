@@ -29,6 +29,9 @@ EXAMPLE_EXPRS = [
     "x3 + 5*(x1+x2+x3)^2 + 4*(x1+x2+x3)^3",
 ]
 
+# the coordinate sum in 9 variables, the parser's limit
+Z9 = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
+
 
 def expr_flags(exprs):
     flags = []
@@ -224,6 +227,21 @@ class TestExitCodes:
         assert "exceeds the limit" in captured.err
         assert elapsed < 5
 
+    @pytest.mark.parametrize("power", ["^60", "^10*" + Z9 + "^10"])
+    def test_work_over_the_limit_is_two_promptly(self, capsys, power):
+        # neither finished in 15 s before the parser bounded the work
+        argv = (["keller", "--expr", Z9 + power]
+                + expr_flags(f"x{i}" for i in range(2, 10)))
+        start = time.process_time()
+        code = cli.main(argv)
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "multiply-adds" in captured.err
+        assert elapsed < 1
+
     def test_overlong_literal_is_two(self, capsys):
         code = cli.main(["keller", "--expr", "x + " + "9" * 5000,
                          "--expr", "y"])
@@ -371,7 +389,6 @@ class TestExitCodes:
 
 
 # a zero-sum shift map in 9 variables, the parser's limit, of degree 2
-Z9 = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
 SHIFT_9 = ([f"x1 + 2*{Z9}^2", f"x2 - 3*{Z9}^2", f"x3 + {Z9}^2"]
            + [f"x{i}" for i in range(4, 10)])
 

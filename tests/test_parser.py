@@ -1,15 +1,17 @@
 """Expression and map-file parsing."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.parser import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_WORK,
     ParseError,
     infer_dimension,
     is_family_format,
@@ -17,24 +19,33 @@ from keller_lab.parser import (
     parse_map,
     parse_map_file,
     parse_poly,
-    tokenize,
 )
 from keller_lab.poly import Poly, PolyMap
 
 
-class TestTokenizer:
-    def test_positions(self):
-        tokens = tokenize("x1 + 2")
-        assert [(t.kind, t.position) for t in tokens] == [
-            ("name", 0), ("plus", 3), ("int", 5), ("end", 6)]
-
-    def test_bad_character_position(self):
-        with pytest.raises(ParseError) as err:
-            tokenize("x1 @ 2")
-        assert err.value.position == 3
-
-    def test_whitespace_skipped(self):
-        assert len(tokenize("  x1  ")) == 2
+class TestTokens:
+    @pytest.mark.parametrize("text, stray, value", [
+        ("x1 @ 2", 3, None),
+        ("  x1  ", None, Poly.variable(1, 1)),
+        ("x1 + 2", None, Poly.variable(1, 1) + 2),
+        ("x1 ) + @", 7, None),
+    ], ids=["bad_character_position", "whitespace_skipped", "positions",
+            "stray_character_before_syntax_error"])
+    def test_tokens_are_matched_at_the_cursor(self, text, stray, value):
+        if stray is not None:
+            with pytest.raises(ParseError, match="unexpected character '@'"
+                               ) as err:
+                parse_poly(text, 1)
+            assert err.value.position == stray
+            return
+        assert parse_poly(text, 1) == value
+        with pytest.raises(ParseError, match=r"unexpected '\)'") as err:
+            parse_poly(text + ")", 1)
+        assert err.value.position == len(text)
+        # the end of input sits one past the last character
+        with pytest.raises(ParseError, match="found 'end of input'") as err:
+            parse_poly("(" + text, 1)
+        assert err.value.position == len(text) + 1
 
 
 class TestExpressions:
@@ -97,6 +108,14 @@ class TestExpressionErrors:
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly("1/0", 1)
 
+    @pytest.mark.parametrize("text, position", [
+        ("2/x", 1), ("2/(3)", 1), ("2/", 1), ("1/2/3", 3), ("1 / 2 /-3", 6)])
+    def test_slash_needs_an_integer_after_it(self, text, position):
+        # a fraction literal looks one token past the '/'
+        with pytest.raises(ParseError, match="unexpected '/'") as err:
+            parse_poly(text, 1)
+        assert err.value.position == position
+
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError, match="expected rparen"):
             parse_poly("(x1 + 1", 1)
@@ -156,6 +175,79 @@ class TestExpressionErrors:
         with pytest.raises(ParseError, match="5000 digits is too long") as info:
             parse_map([text, "y"])
         assert info.value.position == text.index("9")
+
+    @pytest.mark.parametrize("text, at", [
+        ("(x1+x2+x3+x4+x5+x6+x7+x8+x9)^60", "60"),
+        ("(x1+x2+x3+x4+x5+x6+x7+x8+x9)^10*(x1+x2+x3+x4+x5+x6+x7+x8+x9)^10",
+         "*"),
+        # at most 200,001 terms, but about 4e10 multiply-adds
+        ("((x1+1)^100*(x1+1)^100)^1000", "1000"),
+    ])
+    def test_work_over_the_limit_rejected(self, text, at):
+        with pytest.raises(ParseError, match=f"limit of {MAX_WORK} "
+                           "multiply-adds") as info:
+            parse_poly(text, 9)
+        assert info.value.position == text.index(at)
+
+    def test_one_term_and_one_variable_powers_stay_legal(self):
+        x = Poly.variable(2, 1)
+        assert parse_poly("((x^1000)^1000)^1000", 2) == Poly.monomial(
+            2, (10 ** 9, 0))
+        assert parse_poly("((y-7)^12)^12", 2) == (
+            Poly.variable(2, 2) - 7) ** 144
+        assert parse_poly("(x+1)^100*(x+1)^100", 2) == (x + 1) ** 200
+
+
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+PARSE_SECONDS = 2
+
+EXPR_PIECES = ["x", "y", "x1", "x2", "x3", "x9", "x10", "xy", "_a", "0", "2",
+               "12", "007", "3/2", "1/0", "\u0663", "+", "-", "*", "/", "^",
+               "^0", "^3", "^12", "^1001", "(", ")", " ", "\t", "\u00e9",
+               "\u00b2", "(x1+x2)", "(x+y-1/2)", "(x1+x2+1)^999",
+               "(" * 101, "9" * 4400]
+FAMILY_KEYS = ["family", "n", "m", "p2", "p3", "gamma", "alpha", "N", "x"]
+FAMILY_VALUES = ["zshift", '"zshift"', "rank-one", "affine", "1", "2", "3",
+                 "0", "10", "-1", "1, -1", "1, -1, 0", "1/2, -1/2", "1, 2",
+                 "2, -1, -1", "1/0", "x", ""]
+
+expression_texts = st.lists(
+    st.one_of(st.sampled_from(EXPR_PIECES), st.text(max_size=2)),
+    max_size=10).map("".join)
+
+
+@st.composite
+def map_file_texts(draw):
+    """An expression file or a family key-value file."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.one_of(
+            expression_texts, st.sampled_from(["# note", "x + y  # c", ""])),
+            max_size=4))
+    else:
+        lines = [f"{key} = {value}" for key, value in draw(st.lists(
+            st.tuples(st.sampled_from(FAMILY_KEYS),
+                      st.one_of(st.sampled_from(FAMILY_VALUES),
+                                st.text(max_size=3))), max_size=6))]
+        lines += draw(st.lists(st.text(max_size=4), max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(
+    st.tuples(st.lists(expression_texts, max_size=3),
+              st.sampled_from([None, 1, 2, 3, 10])),
+    map_file_texts()))
+def test_fuzz_parse_map_returns_a_map_or_a_parse_error(source):
+    start = time.perf_counter()
+    try:
+        f = (parse_map_file(source) if isinstance(source, str)
+             else parse_map(*source))
+    except ValueError:  # ParseError, or a family hypothesis that fails
+        f = None
+    assert time.perf_counter() - start < PARSE_SECONDS
+    if f is not None:
+        assert isinstance(f, PolyMap)
+        assert parse_map([str(c) for c in f.components], f.n) == f
 
 
 class TestRoundTrip:
