@@ -236,8 +236,7 @@ def _cmd_inject_sample(args):
     # a witness reports f's values, whose denominators reach
     # 2^(k * deg f): refuse before sampling what could never be printed
     digits = max(f.degree(), 1) * args.denom_bits * math.log10(2)
-    # Pythons before 3.10.7 convert ints of any length: no limit, 0
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = parsing.digit_limit()
     if limit and digits > limit:
         raise ValueError(
             f"--denom-bits {args.denom_bits} gives values of about "

@@ -299,13 +299,4 @@ def conjugate(a: RatMatrix, f: PolyMap, b: RatMatrix) -> PolyMap:
             raise ValueError(f"{name} must be {n}x{n}")
         if mat.det() == 0:
             raise ValueError(f"{name} is singular")
-    inner = f.compose(linear_poly_map(b))
-    comps = []
-    for i in range(n):
-        p = Poly.zero(n)
-        for j in range(n):
-            c = a.data[i][j]
-            if c:
-                p = p + inner.components[j] * c
-        comps.append(p)
-    return PolyMap(comps)
+    return linear_poly_map(a).compose(f.compose(linear_poly_map(b)))

@@ -5,11 +5,15 @@ parentheses, integer and fraction literals (``3/2``), and variables
 ``x1``..``x9`` (with ``x``/``y`` as aliases when the map has at most two
 variables).  ``^`` takes a non-negative integer literal of at most
 ``MAX_EXPONENT``.  Multiplication is always explicit.  Pretty-printed
-polynomials re-parse to themselves.
+polynomials re-parse to themselves when no exponent exceeds
+``MAX_EXPONENT``: ``((x^1000)^1000)`` prints ``x1^1000000``.
 
 An expression is read in one pass: after one regex search for a character
 that no token can hold, a recursive descent matches each token at its
-cursor when it needs it.  Products and powers are bounded by ``MAX_WORK``.
+cursor when it needs it.  Products and powers are bounded by ``MAX_WORK``,
+and coefficients by Python's limit on the digits of an int printed as text
+(``digit_limit``): a power is refused when a bound on its coefficients
+passes the limit, and a parsed polynomial when any coefficient does.
 
 Map files hold either one component expression per line (``#`` comments
 allowed) or a key-value family description:
@@ -27,8 +31,9 @@ allowed) or a key-value family description:
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 
 from keller_lab.families import (
     RankOneSpec,
@@ -76,6 +81,24 @@ def _literal(tok) -> int:
         raise ParseError(
             f"integer literal of {len(text)} digits is too long",
             position) from exc
+
+
+def digit_limit() -> int:
+    """Python's limit on the digits of an int printed as text, or 0 (no
+    limit) on Pythons before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _power_digits(base: Poly, k: int) -> float:
+    """log10 of a bound on the numerators and denominators of ``base ** k``.
+
+    With base = (sum a_i m_i) / D over integers a_i, every coefficient of
+    the power has a numerator of at most (sum |a_i|)^k and a denominator
+    dividing D^k."""
+    coeffs = base.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return k * log10(max(top, den))
 
 
 def _power_work(base: Poly, k: int) -> int:
@@ -126,6 +149,13 @@ class _Parser:
         value = self.expression()
         if self.tok[0]:
             raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
+        limit = digit_limit()
+        big = max((max(abs(c.numerator), c.denominator)
+                   for c in value.terms.values()), default=0)
+        # 2^(3 * limit) < 10^limit: skip the exact test on short ints
+        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise ParseError(
+                f"a coefficient is over the {limit}-digit limit", 0)
         return value
 
     def expression(self) -> Poly:
@@ -175,6 +205,11 @@ class _Parser:
             raise ParseError(
                 f"power {k} of {len(base)} terms exceeds the limit of "
                 f"{MAX_WORK} multiply-adds", position)
+        limit = digit_limit()
+        if limit and _power_digits(base, k) > limit:
+            raise ParseError(
+                f"power {k} may give coefficients over the {limit}-digit "
+                "limit", position)
         return base ** k
 
     def atom(self) -> Poly:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from keller_lab import cli
-from keller_lab.parser import parse_map
+from keller_lab.parser import digit_limit, parse_map
 
 SCHEMA_PATH = (Path(__file__).resolve().parents[1]
                / "src" / "keller_lab" / "schemas" / "report.schema.json")
@@ -118,6 +118,39 @@ class TestReports:
         assert result["case"] == "identity-base-shear"
         assert result["A"] == [["1", "0"], ["-1", "1"]]
         assert result["alpha_top"] == "2"
+
+    @pytest.mark.parametrize("exprs, result", [
+        (["x + (x+y)^2 + (x+y)^3", "y - (x+y)^2 - (x+y)^3"],
+         {"case": "nonidentity-base", "A": [["1", "0"], ["0", "1"]],
+          "alpha_top": "1", "alphas": ["1"], "swapped": False,
+          "normal_map": ["x1^3 + 3*x1^2*x2 + 3*x1*x2^2 + x2^3 + x1^2 "
+                         "+ 2*x1*x2 + x2^2 + x1",
+                         "-x1^3 - 3*x1^2*x2 - 3*x1*x2^2 - x2^3 - x1^2 "
+                         "- 2*x1*x2 - x2^2 + x2"]}),
+        (["x + 2*y^3", "y"],
+         {"case": "identity-base-shear", "A": [["1", "0"], ["-1", "1"]],
+          "alpha_top": "2", "alphas": ["0"], "swapped": False,
+          "normal_map": ["2*x1^3 + 6*x1^2*x2 + 6*x1*x2^2 + 2*x2^3 + x1",
+                         "-2*x1^3 - 6*x1^2*x2 - 6*x1*x2^2 - 2*x2^3 + x2"]}),
+        (["x + (y - 2*x)^3", "y + 2*(y - 2*x)^3"],
+         {"case": "identity-base-scaled", "A": [["-2", "0"], ["0", "1"]],
+          "alpha_top": "-2", "alphas": ["0"], "swapped": False,
+          "normal_map": ["-2*x1^3 - 6*x1^2*x2 - 6*x1*x2^2 - 2*x2^3 + x1",
+                         "2*x1^3 + 6*x1^2*x2 + 6*x1*x2^2 + 2*x2^3 + x2"]}),
+        (["x", "y + 2*x^3"],
+         {"case": "identity-base-shear", "A": [["1", "-1"], ["0", "1"]],
+          "alpha_top": "-2", "alphas": ["0"], "swapped": True,
+          "normal_map": ["-2*x1^3 - 6*x1^2*x2 - 6*x1*x2^2 - 2*x2^3 + x1",
+                         "2*x1^3 + 6*x1^2*x2 + 6*x1*x2^2 + 2*x2^3 + x2"]}),
+    ], ids=["active_base", "shear", "scaled", "swapped"])
+    def test_normal_form_result_is_pinned(self, capsys, exprs, result):
+        report = run_json(capsys, ["normal-form-2d"] + expr_flags(exprs))
+        assert report["result"] == {
+            "kind": "normal-form", "case": result["case"], "A": result["A"],
+            "alpha_top": result["alpha_top"],
+            "base": {"gamma": ["1", "-1"], "alphas": result["alphas"]},
+            "m": 2, "swapped": result["swapped"], "degenerate": False,
+            "normal_map": result["normal_map"]}
 
     def test_inject_symbolic(self, capsys, data_dir):
         path = str(data_dir / "example_family.txt")
@@ -249,6 +282,25 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "5000 digits is too long (at position 4)" in captured.err
+
+    @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+    @pytest.mark.parametrize("expr", [
+        "x + (7^1000)^1000",
+        "x + 99^1000*99^1000*99^1000",
+        "x + " + "9" * 4300 + " + " + "9" * 4300,
+    ], ids=["power", "product", "sum"])
+    def test_coefficient_over_the_digit_limit_is_two_promptly(self, capsys,
+                                                              expr):
+        # the power took 6 s and then failed to print with exit 1
+        start = time.process_time()
+        code = cli.main(["keller", "--expr", expr, "--expr", "y"])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"the {digit_limit()}-digit limit" in captured.err
+        assert elapsed < 1
 
     def test_pvalent_piece_of_wrong_dimension_is_one(self, capsys, data_dir):
         # a 3-variable family map against a planar piece

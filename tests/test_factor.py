@@ -19,14 +19,15 @@ from keller_lab.families import (
     RankOneSpec,
     ZShiftMap,
     compose_zshift,
+    conjugate,
     rank_one_map,
 )
 from keller_lab.jacobian import keller_check
 from keller_lab.linalg import RatMatrix
 from keller_lab.parser import parse_map
-from keller_lab.poly import PolyMap
+from keller_lab.poly import Poly, PolyMap
 
-from conftest import random_keller_zshift, random_rank_one_spec
+from conftest import random_keller_zshift, random_rank_one_spec, rational
 
 
 class TestComposeRankOneFactors:
@@ -253,3 +254,96 @@ class TestNormalFormErrors:
         with pytest.raises(ValueError) as err:
             planar_normal_form(f)
         assert "determinant" in str(err.value)
+
+
+SWAP = RatMatrix([[0, 1], [1, 0]])
+INPUT_ERRORS = (
+    "normal form is defined for two-variable maps",
+    "degree-1 input must be the identity map",
+    "Jacobian determinant must be identically 1",
+    "lower-degree part is not a coordinate-sum shift: ",
+)
+
+
+def random_invertible(rng):
+    while True:
+        a = RatMatrix([[rational(rng, 4) for _ in range(2)]
+                       for _ in range(2)])
+        if a.det():
+            return a
+
+
+def conjugated_rank_one(rng):
+    """A^(-1) o F o A for a planar rank-one F, with one of the three case
+    matrices or a random invertible A."""
+    m = rng.randint(1, 4)
+    case = rng.choice([CASE_ACTIVE_BASE, CASE_SCALED, CASE_SHEAR, None])
+    if case in (CASE_ACTIVE_BASE, None):
+        alphas = [rational(rng, 4) for _ in range(m)]
+        a = RatMatrix.identity(2) if case else random_invertible(rng)
+    else:
+        alphas = [0] * (m - 1) + [rational(rng, 4)]
+        a = (RatMatrix([[rational(rng, 4) or 1, 0], [0, 1]])
+             if case == CASE_SCALED else RatMatrix([[1, 0], [-1, 1]]))
+    f = rank_one_map(RankOneSpec((1, -1), alphas))
+    return conjugate(a.inverse(), f, a)
+
+
+def triangular(rng):
+    """x + g(y), sometimes conjugated by a random invertible A."""
+    y = Poly.variable(2, 2)
+    g = sum((y ** d * rational(rng, 4) for d in range(rng.randint(2, 5))),
+            Poly.zero(2))
+    f = PolyMap([Poly.variable(2, 1) + g, y])
+    if rng.random() < 0.4:
+        a = random_invertible(rng)
+        f = conjugate(a.inverse(), f, a)
+    return f
+
+
+def random_planar_map(rng):
+    """One of the generators, maybe swapped, maybe perturbed by one term."""
+    kinds = [conjugated_rank_one, triangular]
+    pick = rng.random()
+    if pick < 0.45:
+        f = rng.choice(kinds)(rng)
+    elif pick < 0.8:
+        f = rng.choice(kinds)(rng).compose(rng.choice(kinds)(rng))
+    else:
+        f = PolyMap(Poly.variable(2, k) + Poly(2, {
+            (i, rng.randint(0, 3 - i)): rational(rng, 4)
+            for i in rng.sample(range(4), 2)}) for k in (1, 2))
+    if rng.random() < 0.3:
+        f = conjugate(SWAP, f, SWAP)
+    if rng.random() < 0.25:
+        i, k = rng.randint(0, 3), rng.randint(0, 1)
+        bump = Poly(2, {(i, rng.randint(0, 3 - i)): rational(rng, 4)})
+        f = PolyMap(c + bump if j == k else c
+                    for j, c in enumerate(f.components))
+    return f
+
+
+def test_normal_form_property_on_generated_maps():
+    """Each map gets a normal form that rebuilds it, or the ValueError of
+    an input check; an AssertionError would mean that det Df = 1 did not
+    force the shape that the case analysis assumes."""
+    rng = random.Random(13)
+    tags, errors = set(), set()
+    for _ in range(300):
+        f = random_planar_map(rng)
+        try:
+            nf = planar_normal_form(f)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(INPUT_ERRORS), message
+            errors.add(next(m for m in INPUT_ERRORS
+                            if message.startswith(m)))
+            continue
+        assert nf.reconstruct() == f
+        check = keller_check(nf.normal_map())
+        assert check.is_keller and check.constant_value == 1
+        tags.add((nf.case_tag, nf.swapped))
+    assert {tag for tag, _ in tags} == {CASE_ACTIVE_BASE, CASE_SCALED,
+                                        CASE_SHEAR}
+    assert any(swapped for _, swapped in tags)
+    assert errors == set(INPUT_ERRORS[1:])

@@ -252,6 +252,22 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conjugate(RatMatrix.identity(2), f, singular)
 
+    def test_matches_pointwise_composition(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            f = PolyMap(Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                                 rational(rng) for _ in range(3)})
+                        for _ in range(n))
+            a, b = (RatMatrix([[rational(rng) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(2))
+            if not a.det() or not b.det():
+                continue
+            g = conjugate(a, f, b)
+            for _ in range(3):
+                p = random_point(rng, n)
+                assert g.eval(p) == a.apply(f.eval(b.apply(p)))
+
 
 class TestSheared:
     def test_sheared_components_are_sparse(self):

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -13,6 +14,7 @@ from keller_lab.parser import (
     MAX_NESTING,
     MAX_WORK,
     ParseError,
+    digit_limit,
     infer_dimension,
     is_family_format,
     parse_family_file,
@@ -196,6 +198,36 @@ class TestExpressionErrors:
         assert parse_poly("((y-7)^12)^12", 2) == (
             Poly.variable(2, 2) - 7) ** 144
         assert parse_poly("(x+1)^100*(x+1)^100", 2) == (x + 1) ** 200
+
+    @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+    @pytest.mark.parametrize("text, at", [
+        # a bound on the power's coefficients, before powering
+        ("x + (7^1000)^1000", "1000"),
+        ("(1/" + "9" * 1000 + "*x + y)^5", "5"),
+        # the parsed polynomial
+        ("x + 99^1000*99^1000*99^1000", None),
+        ("x + " + "9" * 4300 + " + " + "9" * 4300, None),
+        ("1/" + "9" * 4300 + " * 1/9", None),
+    ], ids=["power_numerator", "power_denominator", "product", "sum",
+            "denominator"])
+    def test_coefficients_over_the_digit_limit_rejected(self, text, at):
+        start = time.process_time()
+        with pytest.raises(ParseError, match=f"the {digit_limit()}-digit "
+                           "limit") as info:
+            parse_poly(text, 2)
+        assert time.process_time() - start < 1
+        position = 0 if at is None else text.rindex(at)
+        assert info.value.position == position
+
+    def test_big_coefficients_under_the_digit_limit_stay_legal(self):
+        x, y = Poly.variable(2, 1), Poly.variable(2, 2)
+        assert parse_poly("7^1000", 2) == Poly.const(2, 7 ** 1000)
+        assert parse_poly("(1/" + "9" * 1000 + "*x + y)^4", 2) == (
+            x * Fraction(1, 10 ** 1000 - 1) + y) ** 4
+        p = parse_poly("x + (x+y)^1000*(x+y)^1000", 2)
+        assert len(p) == 2002
+        assert p.coefficient((1000, 1000)) == comb(2000, 1000)
+        assert p.coefficient((1, 0)) == 1
 
 
 NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
