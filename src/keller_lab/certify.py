@@ -19,7 +19,8 @@ Three certifier flavours, in decreasing strength:
     X/unit for an integer point X and one integer unit per grid, so the
     cell tests, the polynomial values and the shear scan run on ints, and
     a Fraction is built only for a bound or margin that is reported.  A
-    grid, and a shear scan's angle list, holds at most MAX_GRID points.
+    grid, and a shear scan's angle list, holds at most MAX_GRID points,
+    and pair sampling runs at most MAX_GRID trials.
     The interval Jacobian's determinant is linalg.expansion_det, the
     Laplace expansion that PolyMatrix.det runs on packed ints, over
     Interval entries;
@@ -55,8 +56,8 @@ INCONCLUSIVE = "inconclusive"
 
 BAD_RESOLUTION = "grid resolution must be at least 1"
 
-# cells in one grid, and angles in one shear scan; the 4-D default grid 32
-# has exactly this many cells
+# cells in one grid, angles in one shear scan, and trials in one sampling
+# run; the 4-D default grid 32 has exactly this many cells
 MAX_GRID = 1 << 20
 
 # lattice points sample_point draws before it calls a domain empty, and
@@ -362,6 +363,8 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if trials > MAX_GRID:
+        raise ValueError(f"{trials} trials are over the cap of {MAX_GRID}")
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
     rng = random.Random(seed)

@@ -403,10 +403,24 @@ def build_report(argv: list[str]) -> tuple[dict, argparse.Namespace]:
     report = {
         "command": args.command,
         "input_digest": digest,
-        "result": to_jsonable(result, getattr(args, "float", False)),
+        "result": _render(result, getattr(args, "float", False)),
         "elapsed_ms": round(elapsed_ms, 3),
     }
     return report, args
+
+
+def _render(result, float_mode: bool):
+    """to_jsonable, with a result that cannot be printed as a domain error."""
+    try:
+        return to_jsonable(result, float_mode)
+    except OverflowError as exc:
+        raise ValueError(
+            "a result number is too large for --float; "
+            "rerun without it for exact fractions") from exc
+    except ValueError as exc:  # int-to-str conversion past the digit limit
+        raise ValueError(
+            f"a result number is over the {parsing.digit_limit()}-digit "
+            "limit and cannot be printed") from exc
 
 
 def _write_csv(report: dict, stream) -> None:

@@ -1,8 +1,8 @@
 """Composition, factorization, and planar normal forms for z-shift maps.
 
 A Keller z-shift map factors into rank-one maps: with the zero-sum gamma
-basis e_j - e_(j+1) fixed, the coefficient table splits degree by degree
-through an exact linear solve.  Conversely a list of rank-one factors
+basis e_j - e_(j+1) fixed, the alphas of factor j are the running sums of
+the coefficient table's rows 1..j.  Conversely a list of rank-one factors
 composes in closed form (tables add through the gamma/alpha outer product).
 The planar normal form conjugates a degree-(m+1) perturbed two-variable map
 into the symmetric pair (u1 + a*(x+y)^(m+1), u2 - a*(x+y)^(m+1)).
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from keller_lab.families import (
@@ -23,7 +24,8 @@ from keller_lab.families import (
     zshift_from_map,
 )
 from keller_lab.jacobian import keller_check
-from keller_lab.linalg import RatMatrix, rat_solve
+# rat_solve is unused here; perfbench/tracing.py wraps factor.rat_solve
+from keller_lab.linalg import RatMatrix, rat_solve  # noqa: F401
 from keller_lab.poly import PolyMap
 
 _ZERO = Fraction(0)
@@ -108,29 +110,19 @@ def difference_gammas(n: int) -> tuple[tuple[Fraction, ...], ...]:
 def decompose_zshift(f: ZShiftMap) -> Factorization:
     """Split a Keller z-shift map into n-1 rank-one factors.
 
-    The gammas are fixed to e_j - e_(j+1); those span the zero-sum subspace,
-    so each degree column of the table is solvable exactly, and full column
-    rank makes the solution unique.
+    The gammas are fixed to e_j - e_(j+1).  A zero-sum column p equals
+    sum_j alpha_j * (e_j - e_(j+1)) exactly when alpha_j = p_1 + ... + p_j,
+    so the alphas of factor j are the running sums of the table's rows
+    1..j.  The factors are recomposed by iterated composition and checked
+    against f before returning.
     """
     if not f.is_keller_family():
         raise ValueError("decomposition requires zero column sums")
-    n = f.n
-    gammas = difference_gammas(n)
-    if not gammas:
-        return Factorization((), f)
-    gamma_matrix = RatMatrix([[g[k] for g in gammas] for k in range(n)])
-    width = f.m - 1
-    per_factor: list[list[Fraction]] = [[] for _ in gammas]
-    for idx in range(width):
-        column = [f.coeffs[k][idx] for k in range(n)]
-        result = rat_solve(gamma_matrix, column)
-        if result.solution is None or result.nullspace:
-            raise AssertionError("zero-sum column failed to solve uniquely")
-        for j, value in enumerate(result.solution):
-            per_factor[j].append(value)
-    factors = tuple(RankOneSpec(g, tuple(alphas))
-                    for g, alphas in zip(gammas, per_factor))
-    if compose_rank_one_factors(factors, n=n) != f:
+    running = accumulate(f.coeffs, lambda acc, row: tuple(
+        a + p for a, p in zip(acc, row)))
+    factors = tuple(RankOneSpec(g, alphas)
+                    for g, alphas in zip(difference_gammas(f.n), running))
+    if compose_rank_one_factors(factors, n=f.n) != f:
         raise AssertionError("factorization failed to reproduce the map")
     return Factorization(factors, f)
 

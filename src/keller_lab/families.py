@@ -86,7 +86,7 @@ class ZShiftMap(PolyMap):
         while width and all(row[width - 1] == 0 for row in rows):
             width -= 1
         self.n = len(rows)
-        self.m = width + 1 if width else 1
+        self.m = width + 1
         self.coeffs = tuple(row[:width] for row in rows)
         self._expanded = None
 
@@ -121,7 +121,7 @@ class ZShiftMap(PolyMap):
         return zshift_det_formula(self.coeffs)
 
     def degree(self) -> int:
-        return self.m if self.m > 1 else 1
+        return self.m
 
     def is_identity(self) -> bool:
         return self.m == 1
@@ -156,32 +156,16 @@ class ZShiftMap(PolyMap):
     def sheared(self) -> PolyMap:
         """The same map conjugated into coordinates where z is an axis.
 
-        With the unimodular substitution x1 = y1 - (y2+...+yn), xk = yk the
-        coordinate sum becomes y1, so every component of f o S is the sum of
-        a coordinate and a univariate polynomial in y1.  det D(f o S) equals
-        det Df composed with S, which keeps the symbolic determinant sparse
-        (no dense z^l expansion is ever formed).
+        With the unimodular substitution x = S y (shear_matrix: x1 = y1 -
+        (y2+...+yn), xk = yk) the coordinate sum becomes y1, so component k
+        of f o S is component k of S y plus sum_l p_k^(l) * y1^l.
+        det D(f o S) equals det Df composed with S, which keeps the symbolic
+        determinant sparse (no dense z^l expansion is ever formed).
         """
-        n = self.n
-        comps = []
-        for k in range(n):
-            terms: dict[tuple[int, ...], Fraction] = {}
-            axis = [0] * n
-            axis[k] = 1
-            terms[tuple(axis)] = _ONE
-            if k == 0:
-                for j in range(1, n):
-                    other = [0] * n
-                    other[j] = 1
-                    terms[tuple(other)] = -_ONE
-            for idx, c in enumerate(self.coeffs[k]):
-                if c:
-                    mono = [0] * n
-                    mono[0] = idx + 2
-                    key = tuple(mono)
-                    terms[key] = terms.get(key, _ZERO) + c
-            comps.append(Poly(n, terms))
-        return PolyMap(comps)
+        y1 = Poly.variable(self.n, 1)
+        shear = linear_poly_map(shear_matrix(self.n))
+        return PolyMap(sum((y1 ** l * c for l, c in enumerate(row, 2) if c), p)
+                       for p, row in zip(shear.components, self.coeffs))
 
 
 def shear_matrix(n: int) -> RatMatrix:

@@ -134,10 +134,13 @@ class TestGridEnclosure:
 
 
 def integrated_partials(f, a, b):
-    """Oracle: a_ij from Poly.partial, then restrict_segment, then the sum
-    of c_d / (d + 1) over the restricted coefficients."""
-    return RatMatrix([[sum((c / (d + 1) for d, c in enumerate(
-        f.components[j].partial(i + 1).restrict_segment(a, b))), Fraction(0))
+    """Oracle: a_ij from Poly.partial, composed by compose_terms with the
+    line x_k = a_k + t(b_k - a_k), then the sum of c_d / (d + 1) over the
+    coefficients c_d of t^d."""
+    line = [{e: c for e, c in (((0,), p), ((1,), q - p)) if c}
+            for p, q in zip(a, b)]
+    return RatMatrix([[sum((c / (d + 1) for (d,), c in _kernels.compose_terms(
+        f.components[j].partial(i + 1).terms, line, 1).items()), Fraction(0))
         for j in range(f.n)] for i in range(f.n)])
 
 

@@ -302,6 +302,56 @@ class TestExitCodes:
         assert f"the {digit_limit()}-digit limit" in captured.err
         assert elapsed < 1
 
+    def test_float_too_large_for_a_result_is_one(self, capsys):
+        # float() of a 400-digit coefficient used to raise OverflowError
+        # out of cli.main
+        big = "9" * 400
+        code = cli.main(["inverse", "--expr", f"x + {big}*(x+y)^2",
+                         "--expr", f"y - {big}*(x+y)^2", "--float"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "--float" in captured.err
+
+    @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+    def test_result_over_the_digit_limit_is_one(self, capsys):
+        # legal input whose composite has coefficients past the limit; it
+        # used to exit with Python's set_int_max_str_digits hint
+        c = "9^1000*9^1000"
+        pair = [f"x + {c}*y^2", f"y + {c}*x^2"]
+        argv = ["compose"] + expr_flags(pair)
+        for text in pair:
+            argv += ["--with-expr", text]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"the {digit_limit()}-digit limit" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["inject-sample", "--expr", "x", "--expr", "y",
+         "--domain", "box:-1,1;-1,1"],
+        # five variables: pvalent samples without an interval check first
+        ["pvalent"] + expr_flags(f"x{i}" for i in range(1, 6))
+        + ["--piece", "box:" + ";".join(["-1,1"] * 5)],
+    ], ids=["inject-sample", "pvalent"])
+    def test_trials_over_the_cap_are_one_promptly(self, capsys, argv):
+        # an unbounded --trials could run for days; refused before sampling
+        start = time.process_time()
+        code = cli.main(argv + ["--trials", str((1 << 20) + 1)])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 1048577 trials are over the cap of 1048576\n")
+        assert elapsed < 1
+
     def test_pvalent_piece_of_wrong_dimension_is_one(self, capsys, data_dir):
         # a 3-variable family map against a planar piece
         code = cli.main(["pvalent", "--map",

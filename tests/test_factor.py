@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from keller_lab import factor
 from keller_lab.factor import (
     CASE_ACTIVE_BASE,
     CASE_SCALED,
@@ -110,6 +111,29 @@ class TestDecompose:
     def test_non_keller_rejected(self):
         with pytest.raises(ValueError):
             decompose_zshift(ZShiftMap([[1], [1]]))
+
+    def test_alphas_are_running_row_sums(self, monkeypatch):
+        # a zero-sum column p is sum_j alpha_j (e_j - e_(j+1)) exactly when
+        # alpha_j = p_1 + ... + p_j: no linear system is solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_zshift solved a linear system")
+        monkeypatch.setattr(factor, "rat_solve", refuse)
+        monkeypatch.setattr(factor, "RatMatrix", refuse)
+        rng = random.Random(31)
+        for _ in range(300):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[Fraction(0) if rng.random() < 0.3 else rational(rng)
+                     for _ in range(m - 1)] for _ in range(n - 1)]
+            rows.append([-sum(col) for col in zip(*rows)] if rows
+                        else [Fraction(0)] * (m - 1))
+            f = ZShiftMap(rows)
+            result = decompose_zshift(f)
+            assert len(result.factors) == n - 1
+            for j, spec in enumerate(result.factors):
+                assert spec.gamma == difference_gammas(n)[j]
+                assert spec.alphas == tuple(
+                    sum(col[:j + 1], Fraction(0)) for col in zip(*f.coeffs))
+            assert compose_rank_one_factors(result.factors, n=n) == f
 
 
 class TestMembership:

@@ -17,7 +17,7 @@ from keller_lab.families import (
     zshift_inverse,
 )
 from keller_lab.jacobian import keller_check
-from keller_lab.linalg import RatMatrix
+from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
 from keller_lab.poly import Poly, PolyMap
 
@@ -282,11 +282,15 @@ class TestSheared:
 
     def test_sheared_equals_compose_with_shear(self):
         rng = random.Random(8)
-        for _ in range(4):
-            n = rng.randint(2, 4)
-            f = random_keller_zshift(rng, n, 3)
-            from keller_lab.linalg import linear_poly_map
-            shear = linear_poly_map(shear_matrix(n))
+        maps = [random_keller_zshift(rng, rng.randint(2, 4), 3)
+                for _ in range(4)]
+        # zero entries, one variable, and nonzero column sums
+        maps += [ZShiftMap([[0, 3, 0], [Fraction(1, 2), 0, 0],
+                            [Fraction(-1, 2), -3, 0]]),
+                 ZShiftMap([[2, 0, -1]]),
+                 ZShiftMap([[1, 2], [1, 0], [0, 5]])]
+        for f in maps:
+            shear = linear_poly_map(shear_matrix(f.n))
             assert f.sheared() == PolyMap(f.components).compose(shear)
 
     def test_shear_matrix_shape(self):
