@@ -8,6 +8,13 @@ tuples packed into one int, coefficients as integer numerators over a
 shared denominator, and one Fraction built per result term.  Products,
 powers, compositions, segment moments and polynomial determinants
 (det_terms, which every PolyMatrix.det runs) all work this way.
+
+Compositions and segment moments both walk the trie of their monomials
+(``_trie``), in opposite directions.  A composition needs only the sum, so
+it walks the trie in post-order, a multivariate Horner scheme: each node
+adds its children's suffix sums, and those shrink with depth.  Segment
+moments need each monomial's own product, so ``_products`` walks forward
+and builds each product from its parent's.
 """
 
 from __future__ import annotations
@@ -72,13 +79,15 @@ def _packed(a: dict, base: int) -> tuple[dict, int]:
     return out, den
 
 
-def _convolve(big: dict, small: dict) -> dict:
-    """Product of two packed dicts; it may hold zero numerators.
+def _convolve(big: dict, small: dict, acc: dict | None = None) -> dict:
+    """Product of two packed dicts, summed into acc (a new dict by default);
+    it may hold zero numerators.
 
     The caller's packing base must exceed the product's total degree, so
     that adding two keys never carries from one exponent slot into the next.
     """
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     get = acc.get
     for key_s, num_s in small.items():
         for key_b, num_b in big.items():
@@ -152,20 +161,15 @@ def pow_terms(a: dict, k: int, n: int) -> dict:
     return _unpacked(out, base, n, den ** k)
 
 
-def _products(monos, packed: list) -> Iterator[tuple[tuple, dict]]:
-    """Yield (m, product of packed[i]**m[i]) for every monomial m of monos.
+def _trie(monos) -> dict:
+    """The trie of the monomials of monos: {node: [(child, i), ...]}.
 
-    ``monos`` is a dict or set of exponent tuples, one slot per packed
-    factor.  The monomials form a trie: the parent of a monomial is the
-    same monomial with its last nonzero exponent lowered by one, so each
-    product is its parent's product times one packed factor, a big*small
-    convolution.  The trie is walked depth first with an explicit stack (a
-    degree-1500 monomial must not recurse 1500 deep), and only the products
-    on the path from the root are kept alive.  The caller's packing base
-    must exceed every product's degree.  A yielded product may hold zero
-    numerators and must not be mutated: its children are built from it.
+    ``monos`` is a dict or set of exponent tuples of one length.  The parent
+    of a monomial is the same monomial with its last nonzero exponent
+    lowered by one, so child = node + e_i, and every monomial reaches the
+    root (all zeros) through its parents.  Nodes without children have no
+    entry; every such node is a monomial of monos.
     """
-    # children[m]: (child, i) pairs with child = m + e_i in the trie
     children: dict = {}
     placed = set()
     for mono in monos:
@@ -175,7 +179,22 @@ def _products(monos, packed: list) -> Iterator[tuple[tuple, dict]]:
             parent = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
             children.setdefault(parent, []).append((mono, last))
             mono = parent
+    return children
 
+
+def _products(monos, packed: list) -> Iterator[tuple[tuple, dict]]:
+    """Yield (m, product of packed[i]**m[i]) for every monomial m of monos.
+
+    The forward walk of ``_trie(monos)``, which segment moments use, since
+    they need each monomial's own product: each product is its parent's
+    product times one packed factor, a big*small convolution.  The trie is
+    walked depth first with an explicit stack (a degree-1500 monomial must
+    not recurse 1500 deep), and only the products on the path from the root
+    are kept alive.  The caller's packing base must exceed every product's
+    degree.  A yielded product may hold zero numerators and must not be
+    mutated: its children are built from it.
+    """
+    children = _trie(monos)
     root = (0,) * len(packed)
     one = {0: 1}
     if root in monos:
@@ -198,19 +217,27 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
     """Term dict of outer with x_i replaced by components[i], expanded.
 
     ``components`` holds one term dict in n variables per variable of
-    ``outer``.  The sum ``sum c * prod g_i**e_i`` is built in one pass on
-    plain ints:
+    ``outer``.  The sum ``sum c * prod g_i**e_i`` is built in one Horner
+    walk (a multivariate Horner scheme) on plain ints:
 
     * Every component is packed once, in base ``deg(outer) * deg(inner) + 1``
       (inner degree at least 1), which exceeds the degree of every partial
-      product, and scaled to integer numerators over ``D``, the LCM of all
-      the components' denominators.
-    * One trie walk (``_products``) builds each outer monomial's product
-      from its parent's.
-    * Each product is added, scaled by ``c.numerator * (Q / c.denominator)
-      * D**(deg - |m|)``, into one int-keyed accumulator over the shared
-      denominator ``Q * D**deg``, where ``Q`` is the LCM of outer's
-      denominators.  Keys are unpacked and Fractions built once at the end.
+      sum, and scaled to an integer numerator ``G_i`` over ``D``, the LCM
+      of all the components' denominators.
+    * Each node v of ``_trie(outer)`` gets one int-keyed accumulator, the
+      suffix sum ``T(v) = c'_v * D**(deg - |v|) + sum G_i * T(child)`` over
+      its (child, i) pairs, where ``c'_v = c.numerator * (Q / c.denominator)``
+      for an outer monomial v with coefficient c, and 0 for any other node;
+      ``Q`` is the LCM of outer's denominators.  Then T(root) over
+      ``Q * D**deg`` is the composition.
+    * The trie is walked in post-order with an explicit stack of (node
+      accumulator, children left, edge factor) frames, so a degree-1500
+      chain does not recurse.  A finished child's sum is convolved with its
+      ``G_i`` straight into the parent's accumulator, and a childless node
+      adds ``c' * G_i`` there without a frame.  Suffix sums shrink with
+      depth, where the forward walk's products grow, so dense outers (shift
+      maps) take far fewer multiply-adds.  Keys are unpacked and Fractions
+      built once at the end.
     """
     if not outer:
         return {}
@@ -224,15 +251,33 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
     q = lcm(*[coeff.denominator for coeff in outer.values()])
     shared_pows = [shared ** k for k in range(deg + 1)]
 
-    acc: dict = {}
-    get = acc.get
-    for mono, product in _products(outer, packed):
-        coeff = outer[mono]
-        s = (coeff.numerator * (q // coeff.denominator)
-             * shared_pows[deg - sum(mono)])
-        for key, num in product.items():
-            acc[key] = get(key, 0) + s * num
-    return _unpacked(acc, base, n, q * shared_pows[deg])
+    def own(mono):
+        """A fresh accumulator holding c'_v * D**(deg - |v|)."""
+        coeff = outer.get(mono)
+        if coeff is None:
+            return {}
+        return {0: (coeff.numerator * (q // coeff.denominator)
+                    * shared_pows[deg - sum(mono)])}
+
+    children = _trie(outer)
+    root = (0,) * len(components)
+    acc, todo, edge = own(root), children.get(root, []), None
+    stack = []
+    while True:
+        if todo:
+            child, i = todo.pop()
+            kids = children.get(child)
+            if kids:
+                stack.append((acc, todo, edge))
+                acc, todo, edge = own(child), kids, i
+            else:
+                _convolve(packed[i], own(child), acc)
+        elif stack:
+            done, i = acc, edge
+            acc, todo, edge = stack.pop()
+            _convolve(done, packed[i], acc)
+        else:
+            return _unpacked(acc, base, n, q * shared_pows[deg])
 
 
 def det_terms(rows: list, n: int) -> dict:

@@ -41,7 +41,12 @@ def canonical_map_text(f: PolyMap) -> str:
 def to_jsonable(value, float_mode: bool = False):
     """Convert library values into deterministic JSON-ready structures."""
     if isinstance(value, Fraction):
-        return float(value) if float_mode else str(value)
+        if not float_mode:
+            return str(value)
+        out = float(value)
+        if value and not out:
+            raise FloatingPointError("float underflow")
+        return out
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -416,6 +421,10 @@ def _render(result, float_mode: bool):
     except OverflowError as exc:
         raise ValueError(
             "a result number is too large for --float; "
+            "rerun without it for exact fractions") from exc
+    except FloatingPointError as exc:
+        raise ValueError(
+            "a result number is too small for --float; "
             "rerun without it for exact fractions") from exc
     except ValueError as exc:  # int-to-str conversion past the digit limit
         raise ValueError(

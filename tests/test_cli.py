@@ -315,6 +315,19 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert "--float" in captured.err
 
+    def test_float_too_small_for_a_result_is_one(self, capsys):
+        # float() of 1/N for a 400-digit N is 0.0: the report read
+        # [[-0.0], [0.0]], as if the map were the identity
+        big = "9" * 400
+        code = cli.main(["inverse", "--expr", f"x + 1/{big}*(x+y)^2",
+                         "--expr", f"y - 1/{big}*(x+y)^2", "--float"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: a result number is too small for "
+                                "--float; rerun without it for exact "
+                                "fractions\n")
+
     @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
     def test_result_over_the_digit_limit_is_one(self, capsys):
         # legal input whose composite has coefficients past the limit; it

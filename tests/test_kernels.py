@@ -1,7 +1,8 @@
 """Contracts of the term-dict kernels, checked against independent oracles."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -77,6 +78,17 @@ def substitute(outer, components, n):
 
 coefficients = st.fractions(min_value=-30, max_value=30,
                             max_denominator=7).filter(bool)
+
+
+def random_coefficient(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                    rng.randint(1, 9))
+
+
+def random_component(rng, n):
+    """A term dict of one to three terms of degree <= 2 in n variables."""
+    return {tuple(rng.randint(0, 1) for _ in range(n)): random_coefficient(rng)
+            for _ in range(rng.randint(1, 3))}
 
 
 def compositions(n):
@@ -326,6 +338,60 @@ class TestKernelContracts:
         got = kernel.compose_terms({(1500,): Fraction(1)}, [g], 1)
         assert got == kernel.pow_terms(g, 1500, 1)
         assert len(got) == 1501
+
+    @pytest.mark.parametrize("n, d", [(2, 6), (3, 4), (4, 3)])
+    def test_compose_dense_outer(self, kernel, n, d):
+        # every monomial of degree <= d, as in shift maps: most trie nodes
+        # are deep, and every node carries a coefficient
+        rng = random.Random(f"dense:{n}:{d}")
+        outer = {mono: random_coefficient(rng)
+                 for mono in product(range(d + 1), repeat=n)
+                 if sum(mono) <= d}
+        components = [random_component(rng, n) for _ in range(n)]
+        assert (kernel.compose_terms(outer, components, n)
+                == substitute(outer, components, n))
+
+    @pytest.mark.parametrize("n, d", [(2, 5), (3, 3), (4, 2)])
+    def test_compose_top_degree_outer(self, kernel, n, d):
+        # only monomials of degree d: no inner trie node is a monomial of
+        # outer, so every inner node's sum comes from its children alone
+        rng = random.Random(f"top:{n}:{d}")
+        outer = {mono: random_coefficient(rng)
+                 for mono in product(range(d + 1), repeat=n)
+                 if sum(mono) == d}
+        components = [random_component(rng, n) for _ in range(n)]
+        assert (kernel.compose_terms(outer, components, n)
+                == substitute(outer, components, n))
+
+    def test_compose_chain_with_branch(self, kernel):
+        # x1^1500 + x1^1499*x2: a chain 1500 deep that branches at its last
+        # inner node, past the default recursion limit
+        outer = {(1500, 0): Fraction(1), (1499, 1): Fraction(-2, 5)}
+        # a one-term g1 keeps the substitution oracle fast
+        components = [{(1, 0): Fraction(-1, 2)},
+                      {(0, 1): Fraction(3), (0, 0): Fraction(1, 3)}]
+        assert (kernel.compose_terms(outer, components, 2)
+                == substitute(outer, components, 2))
+        # a two-term g1: g1^1500 - 2/5 g1^1499 g2 = g1^1499 (g1 - 2/5 g2)
+        g1 = {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1)}
+        g2 = components[1]
+        expected = kernel.mul_terms(
+            kernel.pow_terms(g1, 1499, 2),
+            kernel.sub_terms(g1, kernel.scale_terms(Fraction(2, 5), g2)))
+        got = kernel.compose_terms(outer, [g1, g2], 2)
+        assert got == expected
+        assert len(got) == 3001
+
+    def test_compose_zero_component_under_deep_chain(self, kernel):
+        # monomials that use x2 below a chain 200 deep in x1 vanish, and
+        # their zero sums must not leak into the result
+        outer = {(200, 1): Fraction(3), (200, 0): Fraction(-1, 4),
+                 (199, 2): Fraction(5, 7), (0, 3): Fraction(1)}
+        components = [{(1, 1): Fraction(2, 3), (0, 0): Fraction(1)}, {}]
+        got = kernel.compose_terms(outer, components, 2)
+        assert got == substitute(outer, components, 2)
+        assert got == kernel.scale_terms(
+            Fraction(-1, 4), kernel.pow_terms(components[0], 200, 2))
 
     @settings(deadline=None)
     @given(case=segment_cases)

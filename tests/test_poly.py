@@ -231,6 +231,28 @@ class TestPolyMap:
         with pytest.raises(ValueError):
             PolyMap.identity(2).compose(PolyMap.identity(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_compose_calls_poly_compose_once_per_component(self, n,
+                                                           monkeypatch):
+        # the benchmark's poly.compose rows count these calls, so a map
+        # composition must go through Poly.compose, one component at a time
+        outer = PolyMap([Poly.variable(n, i + 1) ** 2 + Poly.const(n, i)
+                         for i in range(n)])
+        inner = PolyMap([Poly.variable(n, n - i) * Fraction(1, i + 2)
+                         for i in range(n)])
+        expected = [c.compose(inner) for c in outer.components]
+        calls = []
+        original = Poly.compose
+
+        def counted(self, pmap):
+            calls.append((self, pmap))
+            return original(self, pmap)
+
+        monkeypatch.setattr(Poly, "compose", counted)
+        composed = outer.compose(inner)
+        assert list(composed.components) == expected
+        assert calls == [(c, inner) for c in outer.components]
+
     def test_coordinate_sum(self):
         z = coordinate_sum(3)
         assert z.eval((1, 2, 3)) == 6
