@@ -339,26 +339,17 @@ class TestKernelContracts:
         assert got == kernel.pow_terms(g, 1500, 1)
         assert len(got) == 1501
 
-    @pytest.mark.parametrize("n, d", [(2, 6), (3, 4), (4, 3)])
-    def test_compose_dense_outer(self, kernel, n, d):
-        # every monomial of degree <= d, as in shift maps: most trie nodes
-        # are deep, and every node carries a coefficient
-        rng = random.Random(f"dense:{n}:{d}")
+    @pytest.mark.parametrize("n, d, top", [
+        (2, 6, False), (3, 4, False), (4, 3, False),
+        (2, 5, True), (3, 3, True), (4, 2, True)])
+    def test_compose_dense_outer(self, kernel, n, d, top):
+        # every monomial of degree <= d, as in shift maps, so most trie
+        # nodes are deep; or (top) only those of degree d, so no inner trie
+        # node is a monomial of outer and its sum comes from its children
+        rng = random.Random(f"dense:{n}:{d}:{top}")
         outer = {mono: random_coefficient(rng)
                  for mono in product(range(d + 1), repeat=n)
-                 if sum(mono) <= d}
-        components = [random_component(rng, n) for _ in range(n)]
-        assert (kernel.compose_terms(outer, components, n)
-                == substitute(outer, components, n))
-
-    @pytest.mark.parametrize("n, d", [(2, 5), (3, 3), (4, 2)])
-    def test_compose_top_degree_outer(self, kernel, n, d):
-        # only monomials of degree d: no inner trie node is a monomial of
-        # outer, so every inner node's sum comes from its children alone
-        rng = random.Random(f"top:{n}:{d}")
-        outer = {mono: random_coefficient(rng)
-                 for mono in product(range(d + 1), repeat=n)
-                 if sum(mono) == d}
+                 if sum(mono) == d or not top and sum(mono) < d}
         components = [random_component(rng, n) for _ in range(n)]
         assert (kernel.compose_terms(outer, components, n)
                 == substitute(outer, components, n))
