@@ -7,7 +7,8 @@ and returns a canonical dict.  The hot loops run on plain ints: exponent
 tuples packed into one int, coefficients as integer numerators over a
 shared denominator, and one Fraction built per result term.  Products,
 powers, compositions, segment moments and polynomial determinants
-(det_terms, which every PolyMatrix.det runs) all work this way.
+(det_terms, which every PolyMatrix.det runs) all work this way, and all of
+them multiply through the one loop of ``_convolve``.
 
 Compositions and segment moments both walk the trie of their monomials
 (``_trie``), in opposite directions.  A composition needs only the sum, so
@@ -293,8 +294,8 @@ def det_terms(rows: list, n: int) -> dict:
       denominators.
     * The minors of the last rows are keyed by the bit mask of their
       columns.  Each row above extends every nonzero minor by each unused
-      column whose entry is nonzero: a ``_convolve``-style product of the
-      entry, its cofactor sign folded in, and the minor, summed in place
+      column whose entry is nonzero: ``_convolve`` multiplies the minor by
+      the entry, its cofactor sign folded in, and sums the product in place
       into the one int dict of the extended mask.  Zero numerators and
       empty minors are dropped after each row.
     * The full minor is unpacked once, over ``D**k``.
@@ -320,16 +321,9 @@ def det_terms(rows: list, n: int) -> dict:
             for bit, plus, minus in entries:
                 if mask & bit:
                     continue
-                acc = sums.get(mask | bit)
-                if acc is None:
-                    acc = sums[mask | bit] = {}
-                get = acc.get
                 # the cofactor sign counts the used columns left of bit
                 entry = minus if (mask & (bit - 1)).bit_count() & 1 else plus
-                for key_e, num_e in entry.items():
-                    for key_m, num_m in minor.items():
-                        key = key_e + key_m
-                        acc[key] = get(key, 0) + num_e * num_m
+                _convolve(minor, entry, sums.setdefault(mask | bit, {}))
         minors = {}
         for mask, acc in sums.items():
             acc = {key: num for key, num in acc.items() if num}

@@ -752,10 +752,6 @@ class PValenceResult:
     bound: int | None
     certificates: list[Certificate]
 
-    @property
-    def conclusive(self) -> bool:
-        return self.bound is not None
-
 
 def pvalent_bound(f: PolyMap, pieces: Sequence[ConvexDomain],
                   resolution: int = 32, trials: int = 64,

@@ -71,19 +71,19 @@ def to_jsonable(value, float_mode: bool = False):
 _NO_MAP = "provide --map FILE or --expr for each component"
 
 
-def _read_map(path: str | None, exprs: list[str] | None, n: int | None,
+def _read_map(path: str | None, exprs: list[str] | None,
               missing: str) -> PolyMap:
     """Read a map from a map file or from component expressions."""
     if path:
         return parsing.parse_map_file(Path(path).read_text(encoding="utf-8"))
     if exprs:
-        return parsing.parse_map(list(exprs), n)
+        return parsing.parse_map(list(exprs))
     raise ParseError(missing, 0)
 
 
 def _load_map(args) -> tuple[PolyMap, str]:
     """Load a map from --map FILE or --expr components; returns (map, digest)."""
-    f = _read_map(args.map, args.expr, args.n, _NO_MAP)
+    f = _read_map(args.map, args.expr, _NO_MAP)
     return f, _digest(canonical_map_text(f))
 
 
@@ -186,8 +186,8 @@ def _cmd_inverse(args):
 
 
 def _cmd_compose(args):
-    outer = _read_map(args.map, args.expr, args.n, _NO_MAP)
-    inner = _read_map(args.with_map, args.with_expr, args.n,
+    outer = _read_map(args.map, args.expr, _NO_MAP)
+    inner = _read_map(args.with_map, args.with_expr,
                       "provide --with FILE or --with-expr components")
     composed = outer.compose(inner)
     digest = _digest(canonical_map_text(outer), canonical_map_text(inner))
@@ -312,11 +312,12 @@ _HANDLERS = {
 
 
 def _add_map_flags(sub):
-    sub.add_argument("--map", help="map file (expressions or family format)")
-    sub.add_argument("--expr", action="append",
-                     help="component expression (repeat once per component)")
-    sub.add_argument("--n", type=int, default=None,
-                     help="variable count (default: inferred)")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--map",
+                        help="map file (expressions or family format)")
+    source.add_argument("--expr", action="append",
+                        help="component expression (repeat once per "
+                             "component, one per variable)")
 
 
 def _add_output_flags(sub):
@@ -355,9 +356,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("compose")
     _add_map_flags(sub)
-    sub.add_argument("--with", dest="with_map", help="inner map file")
-    sub.add_argument("--with-expr", action="append",
-                     help="inner map component expression")
+    inner = sub.add_mutually_exclusive_group()
+    inner.add_argument("--with", dest="with_map", help="inner map file")
+    inner.add_argument("--with-expr", action="append",
+                       help="inner map component expression")
     _add_output_flags(sub)
     _add_plot_flags(sub)
 

@@ -60,10 +60,6 @@ class RankOneSpec:
         """Rows k = 1..n of p_k^(l) = gamma_k * alpha_l, l = 2..m."""
         return tuple(tuple(g * a for a in self.alphas) for g in self.gamma)
 
-    def shift_polynomial(self) -> tuple[Fraction, ...]:
-        """Coefficients (c0, c1, c2, ..., cm) of s(z) = sum alpha_l z^l."""
-        return (_ZERO, _ZERO) + self.alphas
-
 
 class ZShiftMap(PolyMap):
     """X + sum_l P^(l) z^l stored as its coefficient table.

@@ -3,10 +3,11 @@
 The expression grammar is plain arithmetic: ``+ - * ^``, unary minus,
 parentheses, integer and fraction literals (``3/2``), and variables
 ``x1``..``x9`` (with ``x``/``y`` as aliases when the map has at most two
-variables).  ``^`` takes a non-negative integer literal of at most
-``MAX_EXPONENT``.  Multiplication is always explicit.  Pretty-printed
-polynomials re-parse to themselves when no exponent exceeds
-``MAX_EXPONENT``: ``((x^1000)^1000)`` prints ``x1^1000000``.
+variables).  A map has as many variables as component expressions.  ``^``
+takes a non-negative integer literal of at most ``MAX_EXPONENT``.
+Multiplication is always explicit.  Pretty-printed polynomials re-parse to
+themselves when no exponent exceeds ``MAX_EXPONENT``: ``((x^1000)^1000)``
+prints ``x1^1000000``.
 
 An expression is read in one pass: after one regex search for a character
 that no token can hold, a recursive descent matches each token at its
@@ -267,29 +268,16 @@ def parse_poly(text: str, n: int) -> Poly:
     return _Parser(text, n).parse()
 
 
-def infer_dimension(texts: list[str]) -> int:
-    """Guess n from variable mentions and the component count."""
-    n = len(texts)
-    for text in texts:
-        for match in re.finditer(r"\bx([1-9])\b", text):
-            n = max(n, int(match.group(1)))
-        if re.search(r"\by\b", text):
-            n = max(n, 2)
-    return max(n, 1)
+def parse_map(texts: list[str]) -> PolyMap:
+    """Parse one expression per component into a square polynomial map.
 
-
-def parse_map(texts: list[str], n: int | None = None) -> PolyMap:
-    """Parse one expression per component into a square polynomial map."""
+    A map of k components lives in k variables: a variable past the count
+    is an unknown variable, refused with its position."""
     if not texts:
         raise ParseError("a map needs at least one component expression", 0)
-    if n is None:
-        n = infer_dimension(texts)
-    if not 1 <= n <= 9:
+    n = len(texts)
+    if n > 9:
         raise ParseError("variable count must be between 1 and 9", 0)
-    if len(texts) != n:
-        raise ParseError(
-            f"map on {n} variables needs {n} component expressions, "
-            f"got {len(texts)}", 0)
     return PolyMap([parse_poly(text, n) for text in texts])
 
 

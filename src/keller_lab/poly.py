@@ -150,9 +150,6 @@ class Poly:
         return Poly._wrap(self.n, {m: c for m, c in self._terms.items()
                                    if sum(m) == d})
 
-    def is_homogeneous(self, d: int) -> bool:
-        return all(sum(m) == d for m in self._terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_dim(self, other: "Poly") -> None:

@@ -618,7 +618,6 @@ class TestPValenceBound:
         dom = ConvexDomain.box([(-1, 1)] * 3)
         res = pvalent_bound(f, [dom])
         assert res.bound == 1
-        assert res.conclusive
 
     def test_fold_map_two_pieces(self):
         f = parse_map(["x^2", "y"])
@@ -632,7 +631,6 @@ class TestPValenceBound:
         f = parse_map(["x^2", "y"])
         res = pvalent_bound(f, [UNIT_BOX], resolution=8, trials=8, seed=3)
         assert res.bound is None
-        assert not res.conclusive
 
     def test_witness_upgrade_recorded(self):
         f = parse_map(["x^2", "y"])

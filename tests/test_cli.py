@@ -235,7 +235,7 @@ class TestExitCodes:
 
     def test_bad_domain_string_is_two(self, capsys):
         code = cli.main(["inject-sample", "--expr", "x", "--expr", "y",
-                         "--n", "2", "--domain", "pentagon:1"])
+                         "--domain", "pentagon:1"])
         assert code == 2
 
     @pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000,
@@ -435,21 +435,42 @@ class TestExitCodes:
                          "--domain", "box:-1,1;-1,1"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("exprs, n", [
-        (["x"], "10"),
-        ([f"x{i}" for i in range(1, 10)] + ["x1"], "10"),
-        ([f"x{i}" for i in range(1, 10)] + ["x1"], None),
-    ])
-    def test_variable_count_out_of_range_is_two(self, capsys, exprs, n):
-        argv = ["keller"] + expr_flags(exprs)
-        if n is not None:
-            argv += ["--n", n]
-        code = cli.main(argv)
+    @pytest.mark.parametrize("exprs, message", [
+        ([f"x{i}" for i in range(1, 10)] + ["x1"],
+         "variable count must be between 1 and 9 (at position 0)"),
+        # a map has one variable per component
+        (["x1", "x2 + x3"],
+         "unknown variable 'x3' (map has 2 variables) (at position 5)"),
+        (["x + y"], "unknown variable 'y' (at position 4)"),
+    ], ids=["ten-components", "x3-of-two", "y-of-one"])
+    def test_variable_count_out_of_range_is_two(self, capsys, exprs,
+                                                message):
+        code = cli.main(["keller"] + expr_flags(exprs))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == ("error: variable count must be between "
-                                "1 and 9 (at position 0)\n")
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, conflict", [
+        (["keller", "--map", "family.txt", "--expr", "x^2"],
+         "argument --expr: not allowed with argument --map"),
+        (["compose", "--expr", "x", "--with", "map.txt", "--with-expr", "x"],
+         "argument --with-expr: not allowed with argument --with"),
+    ], ids=["keller", "compose"])
+    def test_two_sources_of_one_map_are_a_usage_error(self, capsys, argv,
+                                                      conflict):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {conflict}\n")
+
+    def test_variable_count_flag_is_unrecognized(self, capsys):
+        assert cli.main(["keller", "--expr", "x", "--expr", "y",
+                         "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: unrecognized arguments: --n 2\n")
 
     @pytest.mark.parametrize("spec", ["box:0,1,2;0,1", "half:0,1,2;0,1|1,1,1",
                                       "box:0;0,1", "half:0,1;1|1,1,1"])
@@ -487,19 +508,16 @@ class TestExitCodes:
 
     def test_option_like_expression_is_usage_error(self, capsys):
         # argparse takes "-x" for an option: exit 2, not SystemExit
-        code = cli.main(["keller", "--expr", "-x", "--expr", "y",
-                         "--n", "2"])
+        code = cli.main(["keller", "--expr", "-x", "--expr", "y"])
         assert code == 2
         assert "expected one argument" in capsys.readouterr().err
 
     def test_option_like_expression_with_equals_form(self, capsys):
-        assert cli.main(["keller", "--expr=-x", "--expr", "y",
-                         "--n", "2"]) == 0
+        assert cli.main(["keller", "--expr=-x", "--expr", "y"]) == 0
         capsys.readouterr()
 
     def test_success_is_zero(self, capsys):
-        assert cli.main(["keller", "--expr", "x", "--expr", "y",
-                         "--n", "2"]) == 0
+        assert cli.main(["keller", "--expr", "x", "--expr", "y"]) == 0
         capsys.readouterr()
 
 
@@ -535,7 +553,7 @@ class TestOutputModes:
 
     def test_csv_key_value(self, capsys):
         code = cli.main(["keller", "--expr", "x", "--expr", "y",
-                         "--n", "2", "--format", "csv"])
+                         "--format", "csv"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,value"
@@ -664,7 +682,7 @@ class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "keller_lab.cli",
-             "keller", "--expr", "x", "--expr", "y", "--n", "2"],
+             "keller", "--expr", "x", "--expr", "y"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
@@ -769,8 +787,6 @@ def cli_argvs(draw, data_dir):
     argv = [command]
     if command in MAP_COMMANDS:
         argv += _fuzz_map_flags(draw, data_dir, n, "--map", "--expr")
-        if draw(st.integers(0, 3)) == 0:
-            argv += ["--n", str(_pick(draw, [n], [0, 10, -1]))]
     if command == "compose":
         argv += _fuzz_map_flags(draw, data_dir, n, "--with", "--with-expr")
     if command == "inject-sample":

@@ -49,10 +49,6 @@ class TestRankOneSpec:
         assert spec.n == 2
         assert spec.m == 4
 
-    def test_shift_polynomial_pads_constant_and_linear(self):
-        spec = RankOneSpec((1, -1), (5, 7))
-        assert spec.shift_polynomial() == (0, 0, 5, 7)
-
 
 class TestZShiftMap:
     def test_components_expand_the_table(self):

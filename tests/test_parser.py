@@ -15,7 +15,6 @@ from keller_lab.parser import (
     MAX_WORK,
     ParseError,
     digit_limit,
-    infer_dimension,
     is_family_format,
     parse_family_file,
     parse_map,
@@ -265,21 +264,18 @@ def map_file_texts(draw):
 
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
-@given(st.one_of(
-    st.tuples(st.lists(expression_texts, max_size=3),
-              st.sampled_from([None, 1, 2, 3, 10])),
-    map_file_texts()))
+@given(st.one_of(st.lists(expression_texts, max_size=3), map_file_texts()))
 def test_fuzz_parse_map_returns_a_map_or_a_parse_error(source):
     start = time.perf_counter()
     try:
         f = (parse_map_file(source) if isinstance(source, str)
-             else parse_map(*source))
+             else parse_map(source))
     except ValueError:  # ParseError, or a family hypothesis that fails
         f = None
     assert time.perf_counter() - start < PARSE_SECONDS
     if f is not None:
         assert isinstance(f, PolyMap)
-        assert parse_map([str(c) for c in f.components], f.n) == f
+        assert parse_map([str(c) for c in f.components]) == f
 
 
 class TestRoundTrip:
@@ -303,38 +299,26 @@ class TestRoundTrip:
 
 
 class TestMapParsing:
-    def test_dimension_inferred_from_names(self):
-        assert infer_dimension(["x1 + x3", "0", "0"]) == 3
-        assert infer_dimension(["x + y"]) == 2
-        assert infer_dimension(["x1"]) == 1
-
-    def test_component_count_raises_inference(self):
-        assert infer_dimension(["x1", "x1", "x1", "x1"]) == 4
-
     def test_parse_map_square(self):
         f = parse_map(["x + y^2", "y"])
         assert f.n == 2
         assert f.eval((1, 2)) == (5, 2)
 
     def test_component_count_mismatch(self):
-        with pytest.raises(ParseError, match="component expressions"):
+        # a map has one variable per component, so x3 is unknown in two
+        with pytest.raises(ParseError) as info:
             parse_map(["x1 + x3", "0"])
+        assert info.value.message == \
+            "unknown variable 'x3' (map has 2 variables)"
+        assert info.value.position == 5
 
     def test_empty_map(self):
         with pytest.raises(ParseError):
             parse_map([])
 
-    def test_explicit_dimension_wins(self):
-        f = parse_map(["x1", "x2", "x3"], n=3)
-        assert f == PolyMap.identity(3)
-
-    @pytest.mark.parametrize("texts, n", [
-        (["x"], 10), (["x1"] * 10, 10), (["x1"] * 10, None),
-        (["x"], 0), (["x"], -1)])
-    def test_dimension_out_of_range_is_checked_before_the_count(self, texts,
-                                                                n):
+    def test_more_than_nine_components_are_refused(self):
         with pytest.raises(ParseError, match="between 1 and 9"):
-            parse_map(texts, n)
+            parse_map(["x1"] * 10)
 
 
 class TestMapFiles:

@@ -121,8 +121,6 @@ class TestOrderingAndParts:
         p = (x + y) ** 2 + x + 1
         quad = p.homogeneous_part(2)
         assert quad == (x + y) ** 2
-        assert quad.is_homogeneous(2)
-        assert not p.is_homogeneous(2)
         assert p.homogeneous_part(5).is_zero()
 
 
