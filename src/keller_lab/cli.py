@@ -27,7 +27,7 @@ from keller_lab import certify, factor, families, jacobian
 from keller_lab import parser as parsing
 from keller_lab.linalg import RatMatrix
 from keller_lab.parser import ParseError
-from keller_lab.poly import Poly, PolyMap
+from keller_lab.poly import Poly, PolyMap, digit_limit
 
 
 def _digest(*parts: str) -> str:
@@ -241,7 +241,7 @@ def _cmd_inject_sample(args):
     # a witness reports f's values, whose denominators reach
     # 2^(k * deg f): refuse before sampling what could never be printed
     digits = max(f.degree(), 1) * args.denom_bits * math.log10(2)
-    limit = parsing.digit_limit()
+    limit = digit_limit()
     if limit and digits > limit:
         raise ValueError(
             f"--denom-bits {args.denom_bits} gives values of about "
@@ -430,7 +430,7 @@ def _render(result, float_mode: bool):
             "rerun without it for exact fractions") from exc
     except ValueError as exc:  # int-to-str conversion past the digit limit
         raise ValueError(
-            f"a result number is over the {parsing.digit_limit()}-digit "
+            f"a result number is over the {digit_limit()}-digit "
             "limit and cannot be printed") from exc
 
 

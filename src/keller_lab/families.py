@@ -23,6 +23,8 @@ from keller_lab.poly import (
     Poly,
     PolyMap,
     as_rational,
+    charge_power,
+    coordinate_sum,
     univariate_coefficients,
     z_power,
 )
@@ -66,8 +68,7 @@ class ZShiftMap(PolyMap):
 
     Rows index coordinates k = 1..n, columns index degrees l = 2..m.
     Trailing all-zero columns are trimmed, so equal maps have equal tables.
-    Dense monomial components are expanded lazily (and guarded, since z^l
-    fills a simplex of monomials).
+    Dense monomial components are expanded lazily (see ``components``).
     """
 
     __slots__ = ("m", "coeffs", "_expanded")
@@ -90,17 +91,27 @@ class ZShiftMap(PolyMap):
 
     @property
     def components(self) -> tuple[Poly, ...]:
+        """The expanded components, built on first use from one power z^l
+        for each degree l with a nonzero coefficient.
+
+        Since z^l fills a simplex of monomials, the work of all those powers
+        is paid for under the parser's limits (``charge_power``) before any
+        is expanded: ExpansionLimitError refuses a table whose powers pass
+        MAX_WORK multiply-adds in all, as the parser refuses the same powers
+        in one expression."""
         if self._expanded is None:
             n = self.n
-            powers = [z_power(n, l) for l in range(2, self.m + 1)]
-            comps = []
-            for k in range(n):
-                p = Poly.variable(n, k + 1)
-                for idx, zp in enumerate(powers):
-                    c = self.coeffs[k][idx]
-                    if c:
-                        p = p + zp * c
-                comps.append(p)
+            z = coordinate_sum(n)
+            columns = [(l, column) for l, column
+                       in enumerate(zip(*self.coeffs), 2) if any(column)]
+            work = 0
+            for l, _ in columns:  # pay for every power before expanding one
+                work = charge_power(work, z, l)
+            comps = [Poly.variable(n, k + 1) for k in range(n)]
+            for l, column in columns:
+                zp = z_power(n, l)
+                comps = [p + zp * c if c else p
+                         for p, c in zip(comps, column)]
             self._expanded = tuple(comps)
         return self._expanded
 

@@ -11,10 +11,16 @@ prints ``x1^1000000``.
 
 An expression is read in one pass: after one regex search for a character
 that no token can hold, a recursive descent matches each token at its
-cursor when it needs it.  Products and powers are bounded by ``MAX_WORK``,
-and coefficients by Python's limit on the digits of an int printed as text
-(``digit_limit``): a power is refused when a bound on its coefficients
-passes the limit, and a parsed polynomial when any coefficient does.
+cursor when it needs it.  The expansion limits are ``poly``'s: every
+product and power of a map is charged to one running total of at most
+``poly.MAX_WORK`` multiply-adds, and the step that would take the total
+past it is refused at its token, before any work.  The powers that are
+terms of a sum are expanded only once the whole sum is read and paid for,
+so a long sum of powers is refused without expanding any of them.
+Coefficients are bounded by Python's limit on the digits of an int printed
+as text (``poly.digit_limit``): a power is refused when a bound on its
+coefficients passes the limit, and a parsed polynomial when any coefficient
+does.  Family files obey the same exponent, work and digit limits.
 
 Map files hold either one component expression per line (``#`` comments
 allowed) or a key-value family description:
@@ -32,9 +38,7 @@ allowed) or a key-value family description:
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
-from math import comb, lcm, log10
 
 from keller_lab.families import (
     RankOneSpec,
@@ -42,7 +46,16 @@ from keller_lab.families import (
     keller_zshift_map,
     rank_one_map,
 )
-from keller_lab.poly import Poly, PolyMap
+from keller_lab.poly import (
+    MAX_EXPONENT,
+    ExpansionLimitError,
+    Poly,
+    PolyMap,
+    charge,
+    charge_power,
+    check_exponent,
+    digit_limit,
+)
 
 
 class ParseError(ValueError):
@@ -64,15 +77,6 @@ _STRAY_RE = re.compile(r"[^\s\dA-Za-z_+\-*^/()]")
 # unary '-' one, so nesting is capped well below Python's recursion limit.
 MAX_NESTING = 100
 
-# Powering repeats one multiplication per unit of the exponent, so a literal
-# like x^100000000 would never finish; exponents are capped before powering.
-MAX_EXPONENT = 1000
-
-# Multiply-adds that one product or power may take, bounded before the
-# kernel runs: the bound is 1.25e7 for (x1+...+x9)^12, 2.0e6 for
-# (x+1)^1000 and 3.9e12 for (x1+...+x9)^60.
-MAX_WORK = 1 << 24
-
 
 def _literal(tok) -> int:
     _, text, position = tok
@@ -84,42 +88,40 @@ def _literal(tok) -> int:
             position) from exc
 
 
-def digit_limit() -> int:
-    """Python's limit on the digits of an int printed as text, or 0 (no
-    limit) on Pythons before 3.10.7."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _check_digits(p: Poly) -> None:
+    """Refuse a polynomial with a coefficient over the digit limit, which
+    could never be printed."""
+    limit = digit_limit()
+    big = max(map(abs, (part for c in p.terms.values()
+                        for part in c.as_integer_ratio())), default=0)
+    # 2^(3 * limit) < 10^limit: skip the exact test on short ints
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise ParseError(f"a coefficient is over the {limit}-digit limit", 0)
 
 
-def _power_digits(base: Poly, k: int) -> float:
-    """log10 of a bound on the numerators and denominators of ``base ** k``.
-
-    With base = (sum a_i m_i) / D over integers a_i, every coefficient of
-    the power has a numerator of at most (sum |a_i|)^k and a denominator
-    dividing D^k."""
-    coeffs = base.terms.values()
-    den = lcm(*(c.denominator for c in coeffs))
-    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
-    return k * log10(max(top, den))
+def _expanded(term) -> Poly:
+    """A term's polynomial: a pending power (base, k) is expanded here."""
+    return term if isinstance(term, Poly) else term[0] ** term[1]
 
 
-def _power_work(base: Poly, k: int) -> int:
-    """An upper bound on the multiply-adds of ``base ** k``: k - 1 products
-    of base by a partial power, which has no more terms than the multisets
-    of k terms of base or the monomials of degree <= k * deg(base) in the v
-    variables that base uses."""
-    t = len(base)
-    if k < 2 or not t:
-        return 0
-    v = sum(map(any, zip(*base.terms)))
-    terms = min(comb(t + k - 1, k), comb(v + k * base.degree(), v))
-    return (k - 1) * t * terms
+def _total(terms: list) -> Poly:
+    """Expand the terms of a sum and add them up, left to right."""
+    (_, first), *rest = terms
+    value = _expanded(first)
+    for sign, term in rest:
+        if sign == "+":
+            value = value + _expanded(term)
+        else:
+            value = value - _expanded(term)
+    return value
 
 
 class _Parser:
     """Recursive descent; ``tok`` is the current token, ``cursor`` the index
-    just past it."""
+    just past it, and ``work`` the multiply-adds charged so far to the map
+    that the text belongs to."""
 
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, n: int, work: int = 0):
         stray = _STRAY_RE.search(text)
         if stray:
             raise ParseError(f"unexpected character {stray.group()!r}",
@@ -127,6 +129,7 @@ class _Parser:
         self.text = text
         self.n = n
         self.depth = 0
+        self.work = work
         self.tok, self.cursor = None, 0
         self.take()
 
@@ -146,44 +149,46 @@ class _Parser:
                 f"expression nests deeper than {MAX_NESTING} levels of "
                 "parentheses and unary minus", tok[2])
 
+    def pay(self, position: int, step, *args) -> None:
+        """Charge a step (``charge`` or ``charge_power`` and its arguments)
+        to self.work, or refuse it at position."""
+        try:
+            self.work = step(self.work, *args)
+        except ExpansionLimitError as exc:
+            raise ParseError(str(exc), position) from exc
+
     def parse(self) -> Poly:
-        value = self.expression()
+        terms = self.expression()
         if self.tok[0]:
             raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
-        limit = digit_limit()
-        big = max((max(abs(c.numerator), c.denominator)
-                   for c in value.terms.values()), default=0)
-        # 2^(3 * limit) < 10^limit: skip the exact test on short ints
-        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
-            raise ParseError(
-                f"a coefficient is over the {limit}-digit limit", 0)
+        value = _total(terms)
+        _check_digits(value)
         return value
 
-    def expression(self) -> Poly:
-        value = self.term()
+    def expression(self) -> list:
+        """A sum as (sign, term) pairs; its powers are paid for but left
+        unexpanded (see ``_total``)."""
+        terms = [("+", self.term())]
         while self.tok[0] in ("+", "-"):
-            if self.take()[0] == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
+            terms.append((self.take()[0], self.term()))
+        return terms
 
-    def term(self) -> Poly:
+    def term(self):
         value = self.factor()
         while self.tok[0] == "*":
             star = self.take()
             right = self.factor()
-            if len(value) * len(right) > MAX_WORK:
-                raise ParseError(
-                    f"product of {len(value)} by {len(right)} terms exceeds "
-                    f"the limit of {MAX_WORK} multiply-adds", star[2])
+            value, right = _expanded(value), _expanded(right)
+            self.pay(star[2], charge, len(value) * len(right),
+                     f"product of {len(value)} by {len(right)} terms")
             value = value * right
         return value
 
-    def factor(self) -> Poly:
+    def factor(self):
+        """A polynomial, or a pending power (base, k) already paid for."""
         if self.tok[0] == "-":
             self.nest(self.take())
-            value = -self.factor()
+            value = -_expanded(self.factor())
             self.depth -= 1
             return value
         base = self.atom()
@@ -194,24 +199,13 @@ class _Parser:
         if kind != "int":
             raise ParseError(
                 "exponent must be a non-negative integer literal", position)
-        # compare digit counts first: int() refuses literals of more than
-        # 4300 digits
+        # int() refuses literals of more than 4300 digits: a literal longer
+        # than MAX_EXPONENT's is over the limit, whatever its value
         digits = text.lstrip("0") or "0"
-        if (len(digits) > len(str(MAX_EXPONENT))
-                or int(digits) > MAX_EXPONENT):
-            raise ParseError(
-                f"exponent exceeds the limit of {MAX_EXPONENT}", position)
-        k = int(digits)
-        if _power_work(base, k) > MAX_WORK:
-            raise ParseError(
-                f"power {k} of {len(base)} terms exceeds the limit of "
-                f"{MAX_WORK} multiply-adds", position)
-        limit = digit_limit()
-        if limit and _power_digits(base, k) > limit:
-            raise ParseError(
-                f"power {k} may give coefficients over the {limit}-digit "
-                "limit", position)
-        return base ** k
+        k = (int(digits) if len(digits) <= len(str(MAX_EXPONENT))
+             else MAX_EXPONENT + 1)
+        self.pay(position, charge_power, base, k)
+        return base, k
 
     def atom(self) -> Poly:
         tok = self.take()
@@ -232,14 +226,14 @@ class _Parser:
             return Poly.variable(self.n, self.variable_index(tok))
         if kind == "(":
             self.nest(tok)
-            value = self.expression()
+            terms = self.expression()
             kind, text, position = self.take()
             if kind != ")":
                 raise ParseError(
                     f"expected rparen, found {text or 'end of input'!r}",
                     position)
             self.depth -= 1
-            return value
+            return _total(terms)
         raise ParseError(
             f"expected a number, variable or '(', found "
             f"{text or 'end of input'!r}", position)
@@ -272,13 +266,20 @@ def parse_map(texts: list[str]) -> PolyMap:
     """Parse one expression per component into a square polynomial map.
 
     A map of k components lives in k variables: a variable past the count
-    is an unknown variable, refused with its position."""
+    is an unknown variable, refused with its position.  All components
+    share one running total of work, so the map as a whole is bounded by
+    ``poly.MAX_WORK``."""
     if not texts:
         raise ParseError("a map needs at least one component expression", 0)
     n = len(texts)
     if n > 9:
         raise ParseError("variable count must be between 1 and 9", 0)
-    return PolyMap([parse_poly(text, n) for text in texts])
+    components, work = [], 0
+    for text in texts:
+        parser = _Parser(text, n, work)
+        components.append(parser.parse())
+        work = parser.work
+    return PolyMap(components)
 
 
 # -- map files ----------------------------------------------------------------
@@ -313,9 +314,13 @@ def _parse_rational_list(text: str, line_no: int) -> tuple[Fraction, ...]:
 
 
 def parse_family_file(text: str) -> ZShiftMap:
-    """Build a structured family map from key-value lines.
+    """Build a structured family map from key-value lines, and expand it.
 
-    Zero-sum hypotheses are enforced at construction, so violations
+    The map obeys the expression reader's limits, each refused with a
+    ParseError: a degree m over MAX_EXPONENT before any row is read, the
+    work of expanding its powers (``ZShiftMap.components``) over MAX_WORK
+    before any is expanded, and an expanded coefficient over the digit
+    limit.  Zero-sum hypotheses are enforced at construction, so violations
     surface as ValueError (a domain error rather than a syntax error).
     """
     entries: dict[str, tuple[str, int]] = {}
@@ -347,7 +352,19 @@ def parse_family_file(text: str) -> ZShiftMap:
         raise ParseError("'n' and 'm' must be integers", 0) from exc
     if not 1 <= n <= 9 or m < 1:
         raise ParseError("need 1 <= n <= 9 and m >= 1", 0)
+    try:
+        check_exponent(m)
+        f = _family_map(family, n, m, entries)
+        components = f.components
+    except ExpansionLimitError as exc:
+        raise ParseError(str(exc), 0) from exc
+    for p in components:
+        _check_digits(p)
+    return f
 
+
+def _family_map(family: str, n: int, m: int, entries: dict) -> ZShiftMap:
+    """The family map of the key-value entries left after family, n, m."""
     if family == "zshift":
         rows = []
         for degree in range(2, m + 1):

@@ -11,7 +11,9 @@ Polynomial maps R^n -> R^n are tuples of n such polynomials.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import comb, lcm, log10
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from keller_lab import _kernels
@@ -392,20 +394,96 @@ def coordinate_sum(n: int) -> Poly:
     return Poly._wrap(n, terms)
 
 
+# -- the expansion limit -------------------------------------------------------
+#
+# The one rule for how large a map may grow when it is expanded: the parser
+# applies it to every product and power of an expression, and a z-shift map
+# to the powers of its coordinate sum.  Each step is refused before its work.
+
+# Powering repeats one multiplication per unit of the exponent, so a literal
+# like x^100000000 would never finish; exponents are capped before powering.
+MAX_EXPONENT = 1000
+
+# Multiply-adds that expanding one map may take, summed over its products
+# and powers and bounded before the kernel runs: the bound is 1.25e7 for
+# (x1+...+x9)^12, 2.0e6 for (x+1)^1000 and 3.9e12 for (x1+...+x9)^60.
+MAX_WORK = 1 << 24
+
+
 class ExpansionLimitError(ValueError):
-    """A dense power of the coordinate sum would exceed the expansion cap."""
+    """An expansion refused before its work: an exponent over MAX_EXPONENT,
+    more than MAX_WORK multiply-adds, or coefficients over the digit
+    limit."""
 
 
-# (x1+...+xn)^k has C(k+n-1, n-1) monomials, so dense expansion is capped.
-_EXPANSION_MAX_N = 9
-_EXPANSION_MAX_DEGREE = 10
+def digit_limit() -> int:
+    """Python's limit on the digits of an int printed as text, or 0 (no
+    limit) on Pythons before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _power_work(base: Poly, k: int) -> int:
+    """An upper bound on the multiply-adds of ``base ** k``: k - 1 products
+    of base by a partial power, which has no more terms than the multisets
+    of k terms of base or the monomials of degree <= k * deg(base) in the v
+    variables that base uses."""
+    t = len(base)
+    if k < 2 or not t:
+        return 0
+    v = sum(map(any, zip(*base._terms)))
+    terms = min(comb(t + k - 1, k), comb(v + k * base.degree(), v))
+    return (k - 1) * t * terms
+
+
+def _power_digits(base: Poly, k: int) -> float:
+    """log10 of a bound on the numerators and denominators of ``base ** k``.
+
+    With base = (sum a_i m_i) / D over integers a_i, every coefficient of
+    the power has a numerator of at most (sum |a_i|)^k and a denominator
+    dividing D^k."""
+    coeffs = base._terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return k * log10(max(top, den))
+
+
+def check_exponent(k: int) -> None:
+    """Refuse an exponent over MAX_EXPONENT."""
+    if k > MAX_EXPONENT:
+        raise ExpansionLimitError(
+            f"exponent exceeds the limit of {MAX_EXPONENT}")
+
+
+def charge(spent: int, work: int, step: str) -> int:
+    """spent + work multiply-adds, refused when the step alone or the total
+    passes MAX_WORK; step names the step in the message."""
+    if work > MAX_WORK:
+        raise ExpansionLimitError(
+            f"{step} exceeds the limit of {MAX_WORK} multiply-adds")
+    if spent + work > MAX_WORK:
+        raise ExpansionLimitError(
+            f"{step} takes the map past the limit of {MAX_WORK} "
+            "multiply-adds")
+    return spent + work
+
+
+def charge_power(spent: int, base: Poly, k: int) -> int:
+    """spent plus the work of ``base ** k``, refused before any of it when
+    k passes MAX_EXPONENT, the work passes MAX_WORK (see ``charge``), or a
+    bound on the coefficients passes the digit limit."""
+    check_exponent(k)
+    spent = charge(spent, _power_work(base, k),
+                   f"power {k} of {len(base)} terms")
+    limit = digit_limit()
+    if limit and _power_digits(base, k) > limit:
+        raise ExpansionLimitError(
+            f"power {k} may give coefficients over the {limit}-digit limit")
+    return spent
 
 
 def z_power(n: int, k: int) -> Poly:
-    """(x1+...+xn)^k expanded into the dense monomial basis, guarded."""
-    if k >= 2 and (n > _EXPANSION_MAX_N or k > _EXPANSION_MAX_DEGREE):
-        raise ExpansionLimitError(
-            f"refusing to expand a degree-{k} coordinate-sum power in "
-            f"{n} variables (limit n<={_EXPANSION_MAX_N}, "
-            f"degree<={_EXPANSION_MAX_DEGREE})")
-    return coordinate_sum(n) ** k
+    """(x1+...+xn)^k expanded into the dense monomial basis; refused, by
+    ``charge_power``, exactly when the parser refuses ``(x1+...+xn)^k``."""
+    z = coordinate_sum(n)
+    charge_power(0, z, k)
+    return z ** k

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from keller_lab import cli
-from keller_lab.parser import digit_limit, parse_map
+from keller_lab.parser import parse_map
+from keller_lab.poly import digit_limit
 
 SCHEMA_PATH = (Path(__file__).resolve().parents[1]
                / "src" / "keller_lab" / "schemas" / "report.schema.json")
@@ -301,6 +302,31 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
         assert f"the {digit_limit()}-digit limit" in captured.err
         assert elapsed < 1
+
+    @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+    @pytest.mark.parametrize("source", ["file", "expr"])
+    def test_table_coefficient_over_the_digit_limit_is_two(self, capsys,
+                                                           tmp_path, source):
+        # a family file's coefficients went unchecked: the expanded map
+        # failed to print, with exit 1 and Python's set_int_max_str_digits
+        # hint
+        big = "9" * digit_limit()
+        if source == "file":
+            path = tmp_path / "big.txt"
+            path.write_text("family = zshift\nn = 2\nm = 3\np2 = 0, 0\n"
+                            f"p3 = {big}, -{big}\n")
+            argv = ["keller", "--map", str(path)]
+        else:
+            argv = ["keller", "--expr", f"x + {big}*(x+y)^3",
+                    "--expr", f"y - {big}*(x+y)^3"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: a coefficient is over the "
+                                f"{digit_limit()}-digit limit "
+                                "(at position 0)\n")
+        assert "set_int_max_str_digits" not in captured.err
 
     def test_float_too_large_for_a_result_is_one(self, capsys):
         # float() of a 400-digit coefficient used to raise OverflowError

@@ -10,18 +10,15 @@ from hypothesis import Phase, given, settings, strategies as st
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.parser import (
-    MAX_EXPONENT,
     MAX_NESTING,
-    MAX_WORK,
     ParseError,
-    digit_limit,
     is_family_format,
     parse_family_file,
     parse_map,
     parse_map_file,
     parse_poly,
 )
-from keller_lab.poly import Poly, PolyMap
+from keller_lab.poly import MAX_EXPONENT, MAX_WORK, Poly, PolyMap, digit_limit
 
 
 class TestTokens:

@@ -1,12 +1,19 @@
 """Core polynomial arithmetic: exactness, ordering, calculus helpers."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keller_lab import _kernels, cli
+from keller_lab.families import ZShiftMap
+from keller_lab.parser import ParseError, parse_map, parse_map_file, parse_poly
 from keller_lab.poly import (
+    MAX_EXPONENT,
+    MAX_WORK,
     ExpansionLimitError,
     Poly,
     PolyMap,
@@ -257,15 +264,56 @@ class TestPolyMap:
         assert z.degree() == 1
 
 
+def zshift_file(tmp_path, n, m, row):
+    """A zshift map file with the same row for every degree 2..m."""
+    lines = ["family = zshift", f"n = {n}", f"m = {m}"]
+    lines += [f"p{l} = " + ", ".join(row) for l in range(2, m + 1)]
+    path = tmp_path / f"zshift-{n}-{m}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Record every call of the power kernel, which returns {} instead of
+    expanding: a test then sees which powers a rule lets through."""
+    calls = []
+
+    def stub(terms, k, n):
+        calls.append((len(terms), k, n))
+        return {}
+
+    monkeypatch.setattr(_kernels, "pow_terms", stub)
+    return calls
+
+
 class TestExpansionGuard:
-    def test_default_limits_refuse_large_powers(self):
-        # the caps are n <= 9 variables, the parser's limit, and degree <= 10
-        with pytest.raises(ExpansionLimitError):
-            z_power(10, 2)
-        with pytest.raises(ExpansionLimitError):
-            z_power(2, 11)
-        assert z_power(9, 2).degree() == 2
-        assert z_power(2, 10).degree() == 10
+    """One expansion limit, in ``poly``, for every map however it arrives:
+    z_power, the parser and the z-shift table refuse alike."""
+
+    def test_z_power_and_the_parser_decide_alike(self, pow_calls):
+        refused = set()
+        for n in range(1, 10):
+            z = "(" + "+".join(f"x{i}" for i in range(1, n + 1)) + ")"
+            for k in range(15):
+                decisions = []
+                for expand in (lambda: z_power(n, k),
+                               lambda: parse_poly(f"{z}^{k}", n)):
+                    pow_calls.clear()
+                    try:
+                        expand()
+                    except ExpansionLimitError as exc:
+                        decisions.append(str(exc))
+                    except ParseError as exc:
+                        decisions.append(exc.message)
+                    else:
+                        decisions.append(None)
+                    assert len(pow_calls) == (decisions[-1] is None)
+                assert decisions[0] == decisions[1], (n, k)
+                if decisions[0]:
+                    refused.add((n, k))
+        # (x1+...+x9)^12 is bounded by 1.25e7 multiply-adds, ^13 by 2.2e7
+        assert refused == {(9, 13), (9, 14)}
 
     def test_linear_powers_are_never_guarded(self):
         assert z_power(9, 1).degree() == 1
@@ -273,6 +321,99 @@ class TestExpansionGuard:
 
     def test_z_power_matches_direct_expansion(self):
         assert z_power(3, 4) == coordinate_sum(3) ** 4
+
+    def test_work_is_counted_over_the_whole_map(self, pow_calls):
+        z9 = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
+        texts = [f"x1 + {z9}^12", f"x2 - {z9}^12"] + [
+            f"x{i}" for i in range(3, 10)]
+        parse_poly(texts[1], 9)  # each power alone is legal
+        for read in (lambda: parse_map(texts),
+                     lambda: parse_map_file("\n".join(texts))):
+            pow_calls.clear()
+            with pytest.raises(ParseError) as info:
+                read()
+            assert info.value.message == (
+                f"power 12 of 9 terms takes the map past the limit of "
+                f"{MAX_WORK} multiply-adds")
+            assert info.value.position == texts[1].index("12")
+            assert pow_calls == [(9, 12, 9)]
+
+    def test_a_table_pays_for_its_nonzero_degrees_before_expanding(
+            self, pow_calls):
+        # every power z^2..z^11 in 9 variables: 13,453,605 multiply-adds
+        # at most; with z^12, 25,924,635
+        row = (1, -1) + (0,) * 7
+        ZShiftMap([(c,) * 10 for c in row]).components
+        assert [k for _, k, _ in pow_calls] == list(range(2, 12))
+        pow_calls.clear()
+        with pytest.raises(ExpansionLimitError,
+                           match=f"power 12 of 9 terms takes the map past "
+                           f"the limit of {MAX_WORK} multiply-adds"):
+            ZShiftMap([(c,) * 11 for c in row]).components
+        assert pow_calls == []
+        # an all-zero column costs nothing and expands nothing
+        ZShiftMap([(0,) * 10 + (c,) for c in row]).components
+        assert pow_calls == [(9, 12, 9)]
+
+    @pytest.mark.parametrize("command", ["inverse", "decompose", "member",
+                                         "inject-symbolic"])
+    def test_degree_11_map_runs_through_every_map_subcommand(
+            self, capsys, command):
+        code = cli.main([command, "--expr", "x + (x+y)^11",
+                         "--expr", "y - (x+y)^11"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        if command == "inverse":
+            zeros = ["0"] * 9
+            assert json.loads(captured.out)["result"][
+                "coefficient_table"] == [zeros + ["-1"], zeros + ["1"]]
+
+    @pytest.mark.parametrize("command", ["keller", "inverse"])
+    def test_degree_12_table_runs(self, capsys, tmp_path, command):
+        path = zshift_file(tmp_path, 2, 12, ["1", "-1"])
+        code = cli.main([command, "--map", path])
+        assert code == 0, capsys.readouterr().err
+
+    def test_a_long_sum_of_powers_is_refused_before_expanding(self, capsys):
+        # legal power by power; the running total first passes 2^24 at ^293
+        # (16,854,532), and expanding the powers before it takes seconds
+        text = "x + " + " + ".join(f"(x+y)^{k}" for k in range(2, 401))
+        start = time.process_time()
+        code = cli.main(["keller", "--expr", text, "--expr", "y"])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: power 293 of 2 terms takes the map past the limit of "
+            f"{MAX_WORK} multiply-adds (at position "
+            f"{text.index('^293') + 1})\n")
+        assert elapsed < 1
+
+    def test_a_table_over_the_work_limit_is_refused_before_expanding(
+            self, capsys, tmp_path):
+        path = zshift_file(tmp_path, 9, 12, ["1", "-1"] + ["0"] * 7)
+        start = time.process_time()
+        code = cli.main(["keller", "--map", path])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: power 12 of 9 terms takes the map past the limit of "
+            f"{MAX_WORK} multiply-adds (at position 0)\n")
+        assert elapsed < 1
+
+    def test_a_table_over_the_exponent_limit_is_refused(self, capsys,
+                                                        tmp_path):
+        path = zshift_file(tmp_path, 2, MAX_EXPONENT + 2, ["1", "-1"])
+        start = time.process_time()
+        code = cli.main(["keller", "--map", path])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: exponent exceeds the limit of "
+                                f"{MAX_EXPONENT} (at position 0)\n")
+        assert elapsed < 1
 
 
 small_rationals = st.fractions(
