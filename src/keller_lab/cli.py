@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import is_dataclass, fields as dataclass_fields
@@ -27,7 +28,7 @@ from keller_lab import certify, factor, families, jacobian
 from keller_lab import parser as parsing
 from keller_lab.linalg import RatMatrix
 from keller_lab.parser import ParseError
-from keller_lab.poly import Poly, PolyMap, digit_limit
+from keller_lab.poly import ExpansionLimitError, Poly, PolyMap, digit_limit
 
 
 def _digest(*parts: str) -> str:
@@ -158,7 +159,10 @@ def _cmd_jacobian(args):
     if args.plot_data:
         return _plot_data_for_map(f, args.grid), digest
     matrix = jacobian.jacobian_matrix(f)
-    det = jacobian.jacobian_det(f)
+    # a family map has a closed-form determinant; any other takes the
+    # determinant of the matrix just built
+    det = (f.jacobian_det_closed_form() if isinstance(f, families.ZShiftMap)
+           else matrix.det())
     return {"kind": "jacobian", "n": f.n,
             "matrix": [[str(matrix[i, j]) for j in range(f.n)]
                        for i in range(f.n)],
@@ -428,6 +432,8 @@ def _render(result, float_mode: bool):
         raise ValueError(
             "a result number is too small for --float; "
             "rerun without it for exact fractions") from exc
+    except ExpansionLimitError:  # a family map expanded for printing
+        raise
     except ValueError as exc:  # int-to-str conversion past the digit limit
         raise ValueError(
             f"a result number is over the {digit_limit()}-digit "
@@ -471,13 +477,23 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        buffer = io.StringIO()
-        _write_csv(report, buffer)
-        sys.stdout.write(buffer.getvalue())
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    try:
+        if args.format == "csv":
+            buffer = io.StringIO()
+            _write_csv(report, buffer)
+            sys.stdout.write(buffer.getvalue())
+        else:
+            json.dump(report, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:  # such as a reader that closed the pipe early
+        print(f"error: {exc}", file=sys.stderr)
+        # stdout still holds what it could not write, and the interpreter
+        # flushes it again at exit: send that to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

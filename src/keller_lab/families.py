@@ -12,8 +12,11 @@ gamma entries summing to zero; these maps are injective on all of R^n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from keller_lab import _kernels
@@ -203,33 +206,33 @@ def keller_zshift_map(coeffs: Iterable[Iterable[int | Fraction]]) -> ZShiftMap:
 def zshift_from_map(f: PolyMap) -> ZShiftMap:
     """Recognize a plain PolyMap as a z-shift map, or raise ValueError.
 
-    The shift of each coordinate, if it is a polynomial in z at all, is
-    determined by its restriction to the x1-axis (where z = x1), that is,
-    by its terms x1^j; the candidate table is then verified against f
-    symbolically.
+    A shift is sum_l t_l z^l, t_l its x1^l coefficient, when its degree-l
+    terms are the C(l+n-1, l) terms t_l l!/prod(e_i!) x^e of t_l z^l, or
+    none if t_l = 0.  The result keeps f's components as its expansion.
     """
     if isinstance(f, ZShiftMap):
         return f
-    n = f.n
-    rows = []
-    width = 0
-    for k in range(n):
-        shift = f.components[k] - Poly.variable(n, k + 1)
-        cs = univariate_coefficients({(mono[0],): c for mono, c
-                                      in shift.terms.items()
-                                      if not any(mono[1:])})
-        if cs[0] != 0 or (len(cs) > 1 and cs[1] != 0):
+    n, shifts, rows = f.n, [], []
+    for k, p in enumerate(f.components):
+        unit = (0,) * k + (1,) + (0,) * (n - k - 1)
+        shift = {**p.terms, unit: p.coefficient(unit) - 1}
+        shifts.append({e: c for e, c in shift.items() if c})
+        rows.append(univariate_coefficients(
+            {(e[0],): c for e, c in shifts[-1].items() if not any(e[1:])}))
+        if any(rows[-1][:2]):
             raise ValueError(
                 "map is not a z-shift map: shifts must start at degree 2")
-        rows.append(cs[2:])
-        width = max(width, len(cs) - 2)
-    candidate = ZShiftMap(tuple(row + (_ZERO,) * (width - len(row))
-                                for row in rows))
-    if tuple(candidate.components) != tuple(f.components):
-        raise ValueError(
-            "map is not a z-shift map: shifts are not polynomials in the "
-            "coordinate sum")
-    return candidate
+    for s, t in zip(shifts, rows):  # t_l is s's x1^l coefficient
+        degrees = {l: comb(l + n - 1, l) for l, c in enumerate(t) if c}
+        if Counter(map(sum, s)) != degrees or any(
+                c.numerator * prod(map(factorial, e)) * t[l].denominator
+                != t[l].numerator * factorial(l) * c.denominator
+                for e, c in s.items() if any(e[1:]) for l in (sum(e),)):
+            raise ValueError("map is not a z-shift map: shifts are not "
+                             "polynomials in the coordinate sum")
+    zmap = ZShiftMap(t[2:] for t in zip(*zip_longest(*rows, fillvalue=_ZERO)))
+    zmap._expanded = f.components
+    return zmap
 
 
 def compose_zshift(outer: ZShiftMap, inner: ZShiftMap) -> ZShiftMap:

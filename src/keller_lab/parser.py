@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, sub
 
 from keller_lab.families import (
     RankOneSpec,
@@ -56,6 +57,8 @@ from keller_lab.poly import (
     check_exponent,
     digit_limit,
 )
+
+_ZERO = Fraction(0)
 
 
 class ParseError(ValueError):
@@ -105,15 +108,22 @@ def _expanded(term) -> Poly:
 
 
 def _total(terms: list) -> Poly:
-    """Expand the terms of a sum and add them up, left to right."""
+    """Expand the terms of a sum and add them, left to right, into one term
+    dict: adding polynomials would copy the partial sum for every term."""
     (_, first), *rest = terms
-    value = _expanded(first)
+    first = _expanded(first)
+    if not rest:
+        return first
+    total = first.terms
     for sign, term in rest:
-        if sign == "+":
-            value = value + _expanded(term)
-        else:
-            value = value - _expanded(term)
-    return value
+        op = add if sign == "+" else sub
+        for mono, coeff in _expanded(term).terms.items():
+            coeff = op(total.get(mono, _ZERO), coeff)
+            if coeff:
+                total[mono] = coeff
+            else:
+                del total[mono]
+    return Poly._wrap(first.n, total)
 
 
 class _Parser:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -16,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from keller_lab import cli
+from keller_lab import cli, jacobian
+from keller_lab.families import ZShiftMap
 from keller_lab.parser import parse_map
-from keller_lab.poly import digit_limit
+from keller_lab.poly import ExpansionLimitError, digit_limit
 
 SCHEMA_PATH = (Path(__file__).resolve().parents[1]
                / "src" / "keller_lab" / "schemas" / "report.schema.json")
@@ -372,6 +374,15 @@ class TestExitCodes:
         assert f"the {digit_limit()}-digit limit" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
+    def test_result_over_the_work_limit_keeps_its_message(self):
+        # `inverse` prints its family map expanded; nonzero degrees 11 and
+        # 12 in 9 variables take 1.9e7 multiply-adds, over the limit, and
+        # that was reported as a number past the digit limit
+        table = [[0] * 9 + [1, 1], [0] * 9 + [-1, -1]] + [[0] * 11] * 7
+        with pytest.raises(ExpansionLimitError,
+                           match="power 12 of 9 terms takes the map past"):
+            cli._render({"kind": "map", "map": ZShiftMap(table)}, False)
+
     @pytest.mark.parametrize("argv", [
         ["inject-sample", "--expr", "x", "--expr", "y",
          "--domain", "box:-1,1;-1,1"],
@@ -545,6 +556,67 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert cli.main(["keller", "--expr", "x", "--expr", "y"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("first", [
+        "x1 + " + " + ".join(f"x1^{k}" for k in range(2, 12)),
+        "x1 + x1^13",
+    ], ids=["x1-powers-to-11", "x1^13"])
+    def test_nine_variables_not_a_shift_map_is_one_promptly(self, capsys,
+                                                            first):
+        # recognition expanded z^2..z^11 in 9 variables (3 s) before it
+        # said no, and refused z^13 with the expansion limit's message
+        argv = (["inverse", "--expr", first]
+                + expr_flags(f"x{i}" for i in range(2, 10)))
+        start = time.process_time()
+        code = cli.main(argv)
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: map is not a z-shift map: shifts are not polynomials "
+            "in the coordinate sum\n")
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse"] + expr_flags([
+            "x1 + (x1+x2+x3+x4+x5)^9", "x2 - (x1+x2+x3+x4+x5)^9",
+            "x3", "x4", "x5"]),
+        ["keller", "--expr", "x", "--expr", "y", "--format", "csv"],
+    ], ids=["inverse-json", "keller-csv"])
+    def test_closed_stdout_is_one_error_line(self, argv):
+        # a pipe with no reader left: the first write fails, as under
+        # `| head -c 1` once head has exited
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keller_lab.cli"] + argv,
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+        os.close(write_end)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
+    def test_jacobian_builds_one_matrix(self, capsys, monkeypatch,
+                                        data_dir):
+        calls = []
+        real = jacobian.jacobian_matrix
+
+        def counted(f):
+            calls.append(f.n)
+            return real(f)
+
+        monkeypatch.setattr(jacobian, "jacobian_matrix", counted)
+        report = run_json(capsys, ["jacobian"] + expr_flags(EXAMPLE_EXPRS))
+        assert calls == [3]
+        assert report["result"]["det"] == "1"
+        # a family map takes its determinant from the closed form
+        calls.clear()
+        run_json(capsys, ["jacobian", "--map",
+                          str(data_dir / "example_family.txt")])
+        assert calls == [3]
 
 
 # a zero-sum shift map in 9 variables, the parser's limit, of degree 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from keller_lab import _kernels, families
 from keller_lab.families import (
     RankOneSpec,
     ZShiftMap,
@@ -19,7 +20,7 @@ from keller_lab.families import (
 from keller_lab.jacobian import keller_check
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
-from keller_lab.poly import Poly, PolyMap
+from keller_lab.poly import Poly, PolyMap, univariate_coefficients
 
 from conftest import (
     random_keller_zshift,
@@ -140,6 +141,107 @@ class TestZShiftRecognition:
 
     def test_identity_recognized(self):
         assert zshift_from_map(PolyMap.identity(3)).is_identity()
+
+    def test_matches_the_expand_and_compare_oracle(self, monkeypatch):
+        """Random tables, each with one mutation of a term or a degree
+        block, give the oracle's table or its exact message, and the
+        recognizer runs no kernel to decide."""
+        rng = random.Random(18)
+        cases = []
+        for _ in range(2000):
+            n, m = rng.randint(1, 4), rng.randint(1, 5)
+            table = [[rational(rng) if rng.random() < 0.7 else 0
+                      for _ in range(m - 1)] for _ in range(n)]
+            f = _mutated(rng, PolyMap(ZShiftMap(table).components))
+            cases.append((f, _outcome(_expand_and_compare, f)))
+        _refuse_kernels(monkeypatch)
+        for f, want in cases:
+            assert _outcome(zshift_from_map, f) == want, f
+        # both accepted maps and both messages occur
+        assert len({want[-1] if want[0] == "error" else "table"
+                    for _, want in cases}) == 3
+
+    def test_recognition_expands_nothing(self, monkeypatch):
+        f = parse_map([
+            "x1 - 11*(x1+x2+x3)^2 - 13*(x1+x2+x3)^3",
+            "x2 + 6*(x1+x2+x3)^2 + 9*(x1+x2+x3)^3",
+            "x3 + 5*(x1+x2+x3)^2 + 4*(x1+x2+x3)^3",
+        ])
+        not_shift = parse_map(["x1 + x1^2 + x1^3", "x2", "x3"])
+        _refuse_kernels(monkeypatch)
+        zmap = zshift_from_map(f)
+        assert zmap.coeffs == ((-11, -13), (6, 9), (5, 4))
+        assert zmap.components == f.components
+        with pytest.raises(ValueError, match="not polynomials"):
+            zshift_from_map(not_shift)
+
+
+def _refuse_kernels(monkeypatch) -> None:
+    """Make every term-dict kernel, z_power and the expansion charge
+    raise."""
+    def refuse(*args):
+        raise AssertionError("recognition reached a kernel")
+
+    for name in ("add_terms", "sub_terms", "scale_terms", "mul_terms",
+                 "pow_terms", "compose_terms", "eval_terms"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    for name in ("z_power", "charge_power"):
+        monkeypatch.setattr(families, name, refuse)
+
+
+def _expand_and_compare(f: PolyMap) -> ZShiftMap:
+    """The recognizer as it was: read a candidate table from the x1-axis,
+    expand it, and compare it with f."""
+    n, rows = f.n, []
+    for k in range(n):
+        shift = f.components[k] - Poly.variable(n, k + 1)
+        cs = univariate_coefficients({(mono[0],): c for mono, c
+                                      in shift.terms.items()
+                                      if not any(mono[1:])})
+        if cs[0] != 0 or (len(cs) > 1 and cs[1] != 0):
+            raise ValueError(
+                "map is not a z-shift map: shifts must start at degree 2")
+        rows.append(cs[2:])
+    width = max(map(len, rows))
+    candidate = ZShiftMap(row + (0,) * (width - len(row)) for row in rows)
+    if candidate.components != f.components:
+        raise ValueError(
+            "map is not a z-shift map: shifts are not polynomials in the "
+            "coordinate sum")
+    return candidate
+
+
+def _outcome(recognize, f: PolyMap):
+    try:
+        zmap = recognize(f)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("table", zmap.coeffs, zmap.components)
+
+
+def _mutated(rng: random.Random, f: PolyMap) -> PolyMap:
+    """f with one of: a changed coefficient, a dropped term, an added
+    monomial of degree 0..6, a scaled degree block, or nothing."""
+    comps = [p.terms for p in f.components]
+    terms = comps[rng.randrange(f.n)]
+    kind = rng.choice(["coefficient", "drop", "add", "scale", "none"])
+    if kind == "coefficient" and terms:
+        mono = rng.choice(list(terms))
+        terms[mono] += rng.choice([1, -1, Fraction(1, 2)])
+    elif kind == "drop" and terms:
+        del terms[rng.choice(list(terms))]
+    elif kind == "add":
+        exps = [0] * f.n
+        for _ in range(rng.randint(0, 6)):
+            exps[rng.randrange(f.n)] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + rational(rng)
+    elif kind == "scale" and terms:
+        degree = sum(rng.choice(list(terms)))
+        factor = rng.choice([2, -1, Fraction(1, 3)])
+        for mono in terms:
+            if sum(mono) == degree:
+                terms[mono] *= factor
+    return PolyMap(Poly(f.n, t) for t in comps)
 
 
 class TestComposeZShift:
