@@ -767,6 +767,11 @@ def pvalent_bound(f: PolyMap, pieces: Sequence[ConvexDomain],
         raise ValueError("at least one piece is required")
     if any(piece.n != f.n for piece in pieces):
         raise ValueError("dimension mismatch")
+    # refused for every map, whichever certificate it would get
+    if resolution < 1:
+        raise ValueError(BAD_RESOLUTION)
+    if trials < 1:
+        raise ValueError("at least one trial is required")
     # the family identity holds on all of R^n, so one proof covers every piece
     family = (certify_injective_zshift(f)
               if isinstance(f, ZShiftMap) and f.is_keller_family() else None)

@@ -74,12 +74,18 @@ _NO_MAP = "provide --map FILE or --expr for each component"
 
 def _read_map(path: str | None, exprs: list[str] | None,
               missing: str) -> PolyMap:
-    """Read a map from a map file or from component expressions."""
+    """Read a map from a map file or from component expressions; a shift
+    map is returned as a ZShiftMap, whatever its format."""
     if path:
-        return parsing.parse_map_file(Path(path).read_text(encoding="utf-8"))
-    if exprs:
-        return parsing.parse_map(list(exprs))
-    raise ParseError(missing, 0)
+        f = parsing.parse_map_file(Path(path).read_text(encoding="utf-8"))
+    elif exprs:
+        f = parsing.parse_map(list(exprs))
+    else:
+        raise ParseError(missing, 0)
+    try:
+        return families.zshift_from_map(f)
+    except ValueError:
+        return f
 
 
 def _load_map(args) -> tuple[PolyMap, str]:

@@ -210,9 +210,10 @@ def planar_normal_form(f_tilde: PolyMap) -> PlanarNormalForm:
     a coordinate-sum shift, the base with gamma (1,-1).  After them
     det Df = 1 forces the rest of the shape: the top pair (W, w) has
     w = lambda*W and W = b0*(y - lambda*x)^d, the base shifts the two
-    coordinates oppositely, and an active base has lambda = -1.  W = 0
-    swaps the coordinates; otherwise the case picks the conjugation matrix.
-    The normal form is re-verified symbolically before being returned.
+    coordinates oppositely, and an active base has lambda = -1.  W = 0 is
+    the swapped case: the swapped map has top pair (w, 0), ratio 0 and b0
+    the x^d coefficient of w.  The case picks A; a swapped A and alpha_top
+    are swapped back.  The normal form is verified once before returning.
     """
     if f_tilde.n != 2:
         raise ValueError("normal form is defined for two-variable maps")
@@ -221,12 +222,10 @@ def planar_normal_form(f_tilde: PolyMap) -> PlanarNormalForm:
         if not f_tilde.is_identity():
             raise ValueError(
                 "degree-1 input must be the identity map")
-        result = PlanarNormalForm(
+        return _verify_normal_form(PlanarNormalForm(
             a=RatMatrix.identity(2), alpha_top=_ZERO,
             base=RankOneSpec((_ONE, -_ONE), ()), case_tag=CASE_ACTIVE_BASE,
-            m=1, degenerate=True)
-        _verify_normal_form(result, f_tilde)
-        return result
+            m=1, degenerate=True), f_tilde)
 
     m = degree - 1
     top_w = f_tilde.components[0].homogeneous_part(degree)
@@ -247,44 +246,35 @@ def planar_normal_form(f_tilde: PolyMap) -> PlanarNormalForm:
     base = RankOneSpec((_ONE, -_ONE),
                        base_alphas + (_ZERO,) * (m - 1 - len(base_alphas)))
 
-    if top_w.is_zero():
-        # w perturbs only the second coordinate; solve the mirrored problem
-        inner = planar_normal_form(conjugate(_SWAP, f_tilde, _SWAP))
-        result = PlanarNormalForm(
-            a=_SWAP @ inner.a @ _SWAP,
-            alpha_top=-inner.alpha_top,
-            base=RankOneSpec(inner.base.gamma,
-                             tuple(-a for a in inner.base.alphas)),
-            case_tag=inner.case_tag, m=inner.m, swapped=True,
-            degenerate=inner.degenerate)
-        _verify_normal_form(result, f_tilde)
-        return result
-
-    lead_mono, lead_coeff = top_w.leading()
-    ratio = top_small.coefficient(lead_mono) / lead_coeff
-    beta0 = top_w.coefficient((0, degree))
-    if any(a != 0 for a in base.alphas):
-        result = PlanarNormalForm(
-            a=RatMatrix.identity(2), alpha_top=beta0, base=base,
-            case_tag=CASE_ACTIVE_BASE, m=m)
-    elif ratio != 0:
-        result = PlanarNormalForm(
-            a=RatMatrix([[-ratio, _ZERO], [_ZERO, _ONE]]),
-            alpha_top=-ratio * beta0, base=base,
-            case_tag=CASE_SCALED, m=m)
+    swapped = top_w.is_zero()
+    if swapped:
+        ratio, beta0 = _ZERO, top_small.coefficient((degree, 0))
     else:
-        result = PlanarNormalForm(
-            a=RatMatrix([[_ONE, _ZERO], [-_ONE, _ONE]]),
-            alpha_top=beta0, base=base,
-            case_tag=CASE_SHEAR, m=m)
-    _verify_normal_form(result, f_tilde)
-    return result
+        lead_mono, lead_coeff = top_w.leading()
+        ratio = top_small.coefficient(lead_mono) / lead_coeff
+        beta0 = top_w.coefficient((0, degree))
+    if any(a != 0 for a in base.alphas):
+        a, alpha_top, case_tag = RatMatrix.identity(2), beta0, CASE_ACTIVE_BASE
+    elif ratio != 0:
+        a = RatMatrix([[-ratio, _ZERO], [_ZERO, _ONE]])
+        alpha_top, case_tag = -ratio * beta0, CASE_SCALED
+    else:
+        a = RatMatrix([[_ONE, _ZERO], [-_ONE, _ONE]])
+        alpha_top, case_tag = beta0, CASE_SHEAR
+    if swapped:
+        a, alpha_top = _SWAP @ a @ _SWAP, -alpha_top
+    return _verify_normal_form(
+        PlanarNormalForm(a=a, alpha_top=alpha_top, base=base,
+                         case_tag=case_tag, m=m, swapped=swapped), f_tilde)
 
 
-def _verify_normal_form(result: PlanarNormalForm, f_tilde: PolyMap) -> None:
+def _verify_normal_form(result: PlanarNormalForm,
+                        f_tilde: PolyMap) -> PlanarNormalForm:
+    """result, once it rebuilds f_tilde and its normal map has det 1."""
     rebuilt = result.reconstruct()
     if tuple(rebuilt.components) != tuple(f_tilde.components):
         raise AssertionError("normal form failed to reconstruct the input")
     check = keller_check(result.normal_map())
     if not check.is_keller or check.constant_value != 1:
         raise AssertionError("normal map is not a unit-determinant map")
+    return result

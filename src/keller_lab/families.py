@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
@@ -27,6 +26,7 @@ from keller_lab.poly import (
     PolyMap,
     as_rational,
     charge_power,
+    check_exponent,
     coordinate_sum,
     univariate_coefficients,
     z_power,
@@ -208,29 +208,36 @@ def zshift_from_map(f: PolyMap) -> ZShiftMap:
 
     A shift is sum_l t_l z^l, t_l its x1^l coefficient, when its degree-l
     terms are the C(l+n-1, l) terms t_l l!/prod(e_i!) x^e of t_l z^l, or
-    none if t_l = 0.  The result keeps f's components as its expansion.
+    none if t_l = 0.  Each t_l is read sparsely from the x1-axis terms, so
+    no row as wide as a degree is built until the term checks pass; for
+    n >= 2 they bound the degree by f's own term count.  A shift map whose
+    degree passes MAX_EXPONENT, as no family file can state, is refused
+    with ExpansionLimitError.  A ZShiftMap is returned as it is, and any
+    other result keeps f's components as its expansion.
     """
     if isinstance(f, ZShiftMap):
         return f
-    n, shifts, rows = f.n, [], []
+    n, shifts, axes = f.n, [], []
     for k, p in enumerate(f.components):
         unit = (0,) * k + (1,) + (0,) * (n - k - 1)
         shift = {**p.terms, unit: p.coefficient(unit) - 1}
         shifts.append({e: c for e, c in shift.items() if c})
-        rows.append(univariate_coefficients(
-            {(e[0],): c for e, c in shifts[-1].items() if not any(e[1:])}))
-        if any(rows[-1][:2]):
+        axes.append({e[0]: c for e, c in shifts[-1].items()
+                     if not any(e[1:])})
+        if 0 in axes[-1] or 1 in axes[-1]:
             raise ValueError(
                 "map is not a z-shift map: shifts must start at degree 2")
-    for s, t in zip(shifts, rows):  # t_l is s's x1^l coefficient
-        degrees = {l: comb(l + n - 1, l) for l, c in enumerate(t) if c}
-        if Counter(map(sum, s)) != degrees or any(
+    for s, t in zip(shifts, axes):  # t[l] is s's x1^l coefficient
+        if Counter(map(sum, s)) != {l: comb(l + n - 1, l) for l in t} or any(
                 c.numerator * prod(map(factorial, e)) * t[l].denominator
                 != t[l].numerator * factorial(l) * c.denominator
                 for e, c in s.items() if any(e[1:]) for l in (sum(e),)):
             raise ValueError("map is not a z-shift map: shifts are not "
                              "polynomials in the coordinate sum")
-    zmap = ZShiftMap(t[2:] for t in zip(*zip_longest(*rows, fillvalue=_ZERO)))
+    top = max((l for t in axes for l in t), default=0)
+    check_exponent(top)
+    zmap = ZShiftMap([t.get(l, _ZERO) for l in range(2, top + 1)]
+                     for t in axes)
     zmap._expanded = f.components
     return zmap
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,10 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from keller_lab import cli, jacobian
+from keller_lab import cli, jacobian, linalg
+from keller_lab.certify import BAD_RESOLUTION
 from keller_lab.families import ZShiftMap
 from keller_lab.parser import parse_map
 from keller_lab.poly import ExpansionLimitError, digit_limit
+
+from conftest import DATA_DIR
 
 SCHEMA_PATH = (Path(__file__).resolve().parents[1]
                / "src" / "keller_lab" / "schemas" / "report.schema.json")
@@ -214,6 +218,18 @@ class TestDigest:
                            ["keller"] + expr_flags(EXAMPLE_EXPRS))
         assert by_family["input_digest"] == by_expr["input_digest"]
 
+    def test_expression_and_family_inputs_share_the_result(
+            self, capsys, data_dir):
+        # the expression map is read as the shift map it is, so pvalent
+        # proves it by the family identity, as it does the family file
+        reports = [run_json(capsys, ["pvalent", "--map", str(data_dir / name),
+                                     "--piece", "box:-1,1;-1,1;-1,1"])
+                   for name in ("example_map.txt", "example_family.txt")]
+        for report in reports:
+            del report["elapsed_ms"]
+        assert reports[0] == reports[1]
+        assert reports[0]["result"]["bound"] == 1
+
     def test_different_maps_differ(self, capsys):
         a = run_json(capsys, ["keller", "--expr", "x + y^2", "--expr", "y"])
         b = run_json(capsys, ["keller", "--expr", "x - y^2", "--expr", "y"])
@@ -387,7 +403,8 @@ class TestExitCodes:
         ["inject-sample", "--expr", "x", "--expr", "y",
          "--domain", "box:-1,1;-1,1"],
         # five variables: pvalent samples without an interval check first
-        ["pvalent"] + expr_flags(f"x{i}" for i in range(1, 6))
+        ["pvalent"] + expr_flags(["x1 + x2^2"]
+                                 + [f"x{i}" for i in range(2, 6)])
         + ["--piece", "box:" + ";".join(["-1,1"] * 5)],
     ], ids=["inject-sample", "pvalent"])
     def test_trials_over_the_cap_are_one_promptly(self, capsys, argv):
@@ -441,7 +458,7 @@ class TestExitCodes:
         (["analytic-check", "--coeffs", "0,1", "--domain", "box:-1,1;-1,1",
           "--grid", "1025"],
          "a grid of 1025^2 cells is over the cap of 1048576 cells"),
-        (["pvalent", "--expr", "x1", "--expr", "x2", "--expr", "x3",
+        (["pvalent", "--expr", "x1 + x2^2", "--expr", "x2", "--expr", "x3",
           "--expr", "x4", "--piece", "box:-1,1;-1,1;-1,1;-1,1",
           "--grid", "33"],
          "a grid of 33^4 cells is over the cap of 1048576 cells"),
@@ -617,6 +634,83 @@ class TestExitCodes:
         run_json(capsys, ["jacobian", "--map",
                           str(data_dir / "example_family.txt")])
         assert calls == [3]
+
+    @pytest.mark.parametrize("command", ["keller", "jacobian"])
+    def test_expression_shift_map_takes_the_closed_form(
+            self, capsys, monkeypatch, data_dir, command):
+        def refuse(self):
+            raise AssertionError("reached the polynomial determinant")
+
+        monkeypatch.setattr(linalg.PolyMatrix, "det", refuse)
+        assert isinstance(cli._read_map(None, EXAMPLE_EXPRS, ""), ZShiftMap)
+        by_expr = run_json(capsys, [command] + expr_flags(EXAMPLE_EXPRS))
+        by_family = run_json(capsys, [
+            command, "--map", str(data_dir / "example_family.txt")])
+        assert by_expr["result"]["det"] == by_family["result"]["det"] == "1"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--map", str(DATA_DIR / "example_family.txt"), "--piece",
+          "box:-1,1;-1,1;-1,1", "--grid", "0"], BAD_RESOLUTION),
+        (["--map", str(DATA_DIR / "example_family.txt"), "--piece",
+          "box:-1,1;-1,1;-1,1", "--trials", "0"],
+         "at least one trial is required"),
+        # five variables: pvalent samples and never builds a grid
+        (expr_flags(["x1 + x2^2"] + [f"x{i}" for i in range(2, 6)])
+         + ["--piece", "box:" + ";".join(["-1,1"] * 5), "--grid", "0"],
+         BAD_RESOLUTION),
+    ], ids=["family-grid", "family-trials", "five-variables-grid"])
+    def test_pvalent_grid_and_trials_below_one_are_one(self, capsys, argv,
+                                                       message):
+        code = cli.main(["pvalent"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["inverse", "decompose", "member",
+                                         "inject-symbolic"])
+    def test_recognition_builds_no_row_per_degree(self, command):
+        # one term of degree 10^9: a row per x1-degree would take about
+        # 8 GB, and under this address-space cap it ends in a MemoryError
+        limit = 1_500_000 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "keller_lab.cli", command,
+             "--expr", "x + ((x^1000)^1000)^1000", "--expr", "y"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: map is not a z-shift map: shifts are not polynomials "
+            "in the coordinate sum\n")
+
+    @pytest.mark.parametrize("command, code", [("inverse", 1), ("keller", 0)])
+    def test_one_variable_shift_past_the_exponent_limit(
+            self, capsys, command, code):
+        # every x + c*x^l is a shift map; degree 10^6 is one no family file
+        # can state, so it is refused before a row that wide is built, and
+        # keller falls back to the parsed map
+        start = time.process_time()
+        assert cli.main([command, "--expr", "x + (x^1000)^1000"]) == code
+        assert time.process_time() - start < 2
+        err = capsys.readouterr().err
+        assert err == ("error: exponent exceeds the limit of 1000\n"
+                       if code else "")
+
+    @pytest.mark.parametrize("command", ["decompose", "member",
+                                         "inject-symbolic"])
+    def test_shift_map_past_the_exponent_limit_is_one(self, capsys,
+                                                      command):
+        # degree 1001: inverse refused it when printing its inverse; the
+        # others now refuse it at recognition with the same message
+        code = cli.main([command, "--expr", "x + (x+y)^1000*(x+y)",
+                         "--expr", "y - (x+y)^1000*(x+y)"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: exponent exceeds the limit of 1000\n"
 
 
 # a zero-sum shift map in 9 variables, the parser's limit, of degree 2

@@ -1,6 +1,7 @@
 """Factorization, membership, and the two-variable normal form."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from keller_lab.factor import (
     compose_rank_one_factors,
     decompose_zshift,
     difference_gammas,
+    PlanarNormalForm,
     planar_normal_form,
     rank_one_membership,
 )
@@ -22,6 +24,7 @@ from keller_lab.families import (
     compose_zshift,
     conjugate,
     rank_one_map,
+    zshift_from_map,
 )
 from keller_lab.jacobian import keller_check
 from keller_lab.linalg import RatMatrix
@@ -371,3 +374,97 @@ def test_normal_form_property_on_generated_maps():
                                         CASE_SHEAR}
     assert any(swapped for _, swapped in tags)
     assert errors == set(INPUT_ERRORS[1:])
+
+
+def _recursive_normal_form(f_tilde):
+    """The normal form as it was: a map whose first top part W is zero was
+    solved by calling itself on the map conjugated by the swap."""
+    if f_tilde.n != 2:
+        raise ValueError("normal form is defined for two-variable maps")
+    degree = f_tilde.degree()
+    if degree <= 1:
+        if not f_tilde.is_identity():
+            raise ValueError("degree-1 input must be the identity map")
+        result = PlanarNormalForm(
+            a=RatMatrix.identity(2), alpha_top=0,
+            base=RankOneSpec((1, -1), ()), case_tag=CASE_ACTIVE_BASE,
+            m=1, degenerate=True)
+        factor._verify_normal_form(result, f_tilde)
+        return result
+    m = degree - 1
+    top_w = f_tilde.components[0].homogeneous_part(degree)
+    top_small = f_tilde.components[1].homogeneous_part(degree)
+    base_map = PolyMap([f_tilde.components[0] - top_w,
+                        f_tilde.components[1] - top_small])
+    verdict = keller_check(f_tilde)
+    if not verdict.is_keller or verdict.constant_value != 1:
+        raise ValueError("Jacobian determinant must be identically 1")
+    try:
+        base_zshift = zshift_from_map(base_map)
+    except ValueError as exc:
+        raise ValueError(
+            f"lower-degree part is not a coordinate-sum shift: {exc}") from exc
+    base_alphas = tuple(base_zshift.coeffs[0])
+    base = RankOneSpec((1, -1),
+                       base_alphas + (0,) * (m - 1 - len(base_alphas)))
+    if top_w.is_zero():
+        inner = _recursive_normal_form(conjugate(SWAP, f_tilde, SWAP))
+        result = PlanarNormalForm(
+            a=SWAP @ inner.a @ SWAP, alpha_top=-inner.alpha_top,
+            base=RankOneSpec(inner.base.gamma,
+                             tuple(-a for a in inner.base.alphas)),
+            case_tag=inner.case_tag, m=inner.m, swapped=True,
+            degenerate=inner.degenerate)
+        factor._verify_normal_form(result, f_tilde)
+        return result
+    lead_mono, lead_coeff = top_w.leading()
+    ratio = top_small.coefficient(lead_mono) / lead_coeff
+    beta0 = top_w.coefficient((0, degree))
+    if any(a != 0 for a in base.alphas):
+        result = PlanarNormalForm(RatMatrix.identity(2), beta0, base,
+                                  CASE_ACTIVE_BASE, m)
+    elif ratio != 0:
+        result = PlanarNormalForm(RatMatrix([[-ratio, 0], [0, 1]]),
+                                  -ratio * beta0, base, CASE_SCALED, m)
+    else:
+        result = PlanarNormalForm(RatMatrix([[1, 0], [-1, 1]]), beta0,
+                                  base, CASE_SHEAR, m)
+    factor._verify_normal_form(result, f_tilde)
+    return result
+
+
+def _normal_form_outcome(normal_form, f):
+    try:
+        return normal_form(f)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_matches_the_recursive_oracle():
+    """The one-pass normal form gives the recursive one's fields, or its
+    exception type and message, on generated maps, swapped ones among
+    them."""
+    rng = random.Random(19)
+    swapped = 0
+    for _ in range(2000):
+        f = random_planar_map(rng)
+        want = _normal_form_outcome(_recursive_normal_form, f)
+        assert _normal_form_outcome(planar_normal_form, f) == want, f
+        swapped += isinstance(want, PlanarNormalForm) and want.swapped
+    assert swapped >= 10
+
+
+def test_swapped_map_is_read_in_one_pass(monkeypatch):
+    """A map with W = 0 runs each input check once, without calling
+    itself: conjugate only rebuilds the normal form for the check."""
+    calls = Counter()
+    for name in ("keller_check", "zshift_from_map", "conjugate",
+                 "planar_normal_form"):
+        def counted(*args, _real=getattr(factor, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(factor, name, counted)
+    nf = factor.planar_normal_form(parse_map(["x", "y + 2*x^3"]))
+    assert nf.swapped
+    assert calls == {"keller_check": 2, "zshift_from_map": 1,
+                     "conjugate": 1, "planar_normal_form": 1}
