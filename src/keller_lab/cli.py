@@ -71,11 +71,15 @@ def to_jsonable(value, float_mode: bool = False):
 
 _NO_MAP = "provide --map FILE or --expr for each component"
 
+# subcommands defined for shift maps only
+_SHIFT_ONLY = frozenset({"inverse", "decompose", "member", "inject-symbolic"})
 
-def _read_map(path: str | None, exprs: list[str] | None,
-              missing: str) -> PolyMap:
+
+def _read_map(path: str | None, exprs: list[str] | None, missing: str,
+              shift_only: bool = False) -> PolyMap:
     """Read a map from a map file or from component expressions; a shift
-    map is returned as a ZShiftMap, whatever its format."""
+    map is returned as a ZShiftMap, whatever its format.  Any other map is
+    returned as read, or refused with recognition's error if shift_only."""
     if path:
         f = parsing.parse_map_file(Path(path).read_text(encoding="utf-8"))
     elif exprs:
@@ -85,12 +89,14 @@ def _read_map(path: str | None, exprs: list[str] | None,
     try:
         return families.zshift_from_map(f)
     except ValueError:
+        if shift_only:
+            raise
         return f
 
 
 def _load_map(args) -> tuple[PolyMap, str]:
     """Load a map from --map FILE or --expr components; returns (map, digest)."""
-    f = _read_map(args.map, args.expr, _NO_MAP)
+    f = _read_map(args.map, args.expr, _NO_MAP, args.command in _SHIFT_ONLY)
     return f, _digest(canonical_map_text(f))
 
 
@@ -186,8 +192,7 @@ def _cmd_keller(args):
 
 
 def _cmd_inverse(args):
-    f, digest = _load_map(args)
-    zmap = families.zshift_from_map(f)
+    zmap, digest = _load_map(args)
     inverse = families.zshift_inverse(zmap)
     if args.plot_data:
         return _plot_data_for_map(inverse, args.grid), digest
@@ -207,8 +212,7 @@ def _cmd_compose(args):
 
 
 def _cmd_decompose(args):
-    f, digest = _load_map(args)
-    zmap = families.zshift_from_map(f)
+    zmap, digest = _load_map(args)
     result = factor.decompose_zshift(zmap)
     return {"kind": "factorization",
             "factors": [{"gamma": s.gamma, "alphas": s.alphas}
@@ -217,8 +221,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_member(args):
-    f, digest = _load_map(args)
-    zmap = families.zshift_from_map(f)
+    zmap, digest = _load_map(args)
     result = factor.rank_one_membership(zmap)
     payload = {"kind": "membership", "member": result.member}
     if result.spec is not None:
@@ -262,8 +265,7 @@ def _cmd_inject_sample(args):
 
 
 def _cmd_inject_symbolic(args):
-    f, digest = _load_map(args)
-    zmap = families.zshift_from_map(f)
+    zmap, digest = _load_map(args)
     cert = certify.certify_injective_zshift(zmap)
     return _certificate_payload(cert), digest
 
@@ -458,10 +460,11 @@ def _write_csv(report: dict, stream) -> None:
     writer.writerow(["input_digest", report["input_digest"]])
 
     def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
+        # an empty list or object is a leaf, written as [] or {}
+        if isinstance(value, dict) and value:
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list):
+        elif isinstance(value, list) and value:
             for i, v in enumerate(value):
                 walk(f"{prefix}[{i}]", v)
         else:

@@ -15,11 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from keller_lab import _kernels
-from keller_lab.jacobian import zshift_det_formula
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.poly import (
     Poly,
@@ -128,7 +128,16 @@ class ZShiftMap(PolyMap):
         return all(s == 0 for s in self.column_sums())
 
     def jacobian_det_closed_form(self) -> Poly:
-        return zshift_det_formula(self.coeffs)
+        """det Df = 1 + sum_l l*s_l*z^(l-1), s_l the column sums.
+
+        Df is a rank-one update of the identity (every partial of z equals
+        1), so its determinant is 1 plus the trace of the update.
+        """
+        det = Poly.const(self.n, 1)
+        for l, s in enumerate(self.column_sums(), 2):
+            if s:
+                det = det + z_power(self.n, l - 1) * (s * l)
+        return det
 
     def degree(self) -> int:
         return self.m
@@ -227,10 +236,11 @@ def zshift_from_map(f: PolyMap) -> ZShiftMap:
         if 0 in axes[-1] or 1 in axes[-1]:
             raise ValueError(
                 "map is not a z-shift map: shifts must start at degree 2")
+    fact = cache(factorial)  # each k! once per call, only as asked for
     for s, t in zip(shifts, axes):  # t[l] is s's x1^l coefficient
         if Counter(map(sum, s)) != {l: comb(l + n - 1, l) for l in t} or any(
-                c.numerator * prod(map(factorial, e)) * t[l].denominator
-                != t[l].numerator * factorial(l) * c.denominator
+                c.numerator * prod(map(fact, e)) * t[l].denominator
+                != t[l].numerator * fact(l) * c.denominator
                 for e, c in s.items() if any(e[1:]) for l in (sum(e),)):
             raise ValueError("map is not a z-shift map: shifts are not "
                              "polynomials in the coordinate sum")

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from keller_lab.families import ZShiftMap
 from keller_lab.linalg import PolyMatrix
-from keller_lab.poly import Poly, PolyMap, as_rational, z_power
+# z_power is unused here; perfbench/tracing.py wraps jacobian.z_power
+from keller_lab.poly import Poly, PolyMap, z_power  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,10 @@ def jacobian_matrix(f: PolyMap) -> PolyMatrix:
 
 
 def jacobian_det(f: PolyMap) -> Poly:
-    """det Df, symbolically exact.
-
-    Maps that know a closed form for their determinant (the z-shift family)
-    expose it via jacobian_det_closed_form; everything else goes through the
-    generic polynomial determinant.
-    """
-    closed_form = getattr(f, "jacobian_det_closed_form", None)
-    if closed_form is not None:
-        return closed_form()
+    """det Df, symbolically exact: the closed form for a z-shift map, the
+    generic polynomial determinant for any other."""
+    if isinstance(f, ZShiftMap):
+        return f.jacobian_det_closed_form()
     return jacobian_matrix(f).det()
 
 
@@ -58,23 +55,6 @@ def keller_check(f: PolyMap) -> KellerVerdict:
 
 
 def zshift_det_formula(coeffs: Sequence[Sequence[int | Fraction]]) -> Poly:
-    """Closed-form det Df for the map X + sum_l P^(l) z^l, z = x1+...+xn.
-
-    Df is a rank-one update of the identity (every partial of z equals 1),
-    so det Df = 1 + sum_l l*(sum_k p_k^(l))*z^(l-1).  Rows index coordinates
-    k = 1..n, columns index degrees l = 2..m.
-    """
-    rows = [tuple(as_rational(c) for c in row) for row in coeffs]
-    if not rows:
-        raise ValueError("coefficient table needs one row per coordinate")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("coefficient table rows must have equal length")
-    n = len(rows)
-    det = Poly.const(n, 1)
-    for idx in range(width):
-        degree = idx + 2
-        column_sum = sum((row[idx] for row in rows), Fraction(0))
-        if column_sum:
-            det = det + z_power(n, degree - 1) * (column_sum * degree)
-    return det
+    """Closed-form det Df for the map X + sum_l P^(l) z^l given by its
+    coefficient table (rows: coordinates, columns: degrees l = 2..m)."""
+    return ZShiftMap(coeffs).jacobian_det_closed_form()

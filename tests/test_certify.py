@@ -341,6 +341,17 @@ class TestSymbolicZshiftCertifier:
         cert = certify_injective_zshift(ZShiftMap([[], []]))
         assert cert.status == PROVEN
 
+    def test_spot_checks_past_the_work_limit_are_skipped(self):
+        # degrees 11 and 12 in 9 variables: a spot pair would expand powers
+        # of z past the work limit, and the family identity still proves it
+        table = [[0] * 9 + [1, 1], [0] * 9 + [-1, -1]] + [[0] * 11] * 7
+        start = time.process_time()
+        cert = certify_injective_zshift(ZShiftMap(table))
+        assert time.process_time() - start < 1
+        assert cert.status == PROVEN
+        assert cert.evidence["jacobian_det"] == 1
+        assert cert.evidence["spot_pairs_checked"] == 0
+
     def test_rank_one_maps_proven(self):
         rng = random.Random(6)
         for _ in range(5):

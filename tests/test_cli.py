@@ -1,6 +1,7 @@
 """Command-line interface: reports, formats, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -686,6 +687,28 @@ class TestExitCodes:
             "error: map is not a z-shift map: shifts are not polynomials "
             "in the coordinate sum\n")
 
+    @pytest.mark.parametrize("exprs, code, err", [
+        (EXAMPLE_EXPRS, 0, ""),
+        (["x^2", "y"], 1, "error: map is not a z-shift map: shifts must "
+                          "start at degree 2\n"),
+    ], ids=["recognised", "refused"])
+    @pytest.mark.parametrize("command", ["inverse", "decompose", "member",
+                                         "inject-symbolic"])
+    def test_shift_only_commands_recognise_once(
+            self, capsys, monkeypatch, command, exprs, code, err):
+        # the reader hands its one recognition, map or error, to the command
+        calls = []
+        recognise = cli.families.zshift_from_map
+
+        def counting(f):
+            calls.append(f)
+            return recognise(f)
+
+        monkeypatch.setattr(cli.families, "zshift_from_map", counting)
+        assert cli.main([command] + expr_flags(exprs)) == code
+        assert capsys.readouterr().err == err
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("command, code", [("inverse", 1), ("keller", 0)])
     def test_one_variable_shift_past_the_exponent_limit(
             self, capsys, command, code):
@@ -752,6 +775,37 @@ class TestOutputModes:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert "result.is_keller" in keys
         assert "command" in keys
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--expr", "x"],
+        ["inject-symbolic", "--expr", "x"],
+        ["member", "--expr", "x", "--expr", "y"],
+        ["inverse", "--expr", "x", "--expr", "y"],
+        ["normal-form-2d", "--expr", "x", "--expr", "y"],
+    ], ids=["decompose", "inject-symbolic", "member", "inverse",
+            "normal-form-2d"])
+    def test_csv_keys_are_the_json_leaves(self, capsys, argv):
+        # an empty list or object is a leaf: one row, [] or {}
+        def leaves(prefix, value):
+            if isinstance(value, dict) and value:
+                for k, v in value.items():
+                    yield from leaves(f"{prefix}.{k}" if prefix else k, v)
+            elif isinstance(value, list) and value:
+                for i, v in enumerate(value):
+                    yield from leaves(f"{prefix}[{i}]", v)
+            else:
+                yield prefix, value
+
+        report = run_json(capsys, argv)
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "value"]
+        assert [key for key, _ in rows[1:]] == [
+            key for key, _ in leaves("", report)]
+        empty = {key: json.dumps(value) for key, value in leaves("", report)
+                 if value in ([], {})}
+        assert empty
+        assert {key: value for key, value in rows[1:] if key in empty} == empty
 
     def test_plot_data_grid(self, capsys):
         report = run_json(capsys, ["jacobian", "--expr", "x^2", "--expr", "y",

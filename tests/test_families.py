@@ -1,6 +1,8 @@
 """Coordinate-sum shift maps: construction, composition, inversion."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,16 @@ class TestZShiftMap:
 
     def test_degree_reflects_width(self):
         assert ZShiftMap([[0, 7], [0, -7]]).degree() == 3
+
+    def test_imports_without_the_jacobian_module(self):
+        # the family answers for its own determinant
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, keller_lab.families; "
+             "print('keller_lab.jacobian' in sys.modules)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestConstructors:

@@ -122,6 +122,23 @@ class TestZShiftDetFormula:
         coeffs = random_keller_table(rng, 4, 5)
         assert zshift_det_formula(coeffs) == 1
 
+    @pytest.mark.parametrize("coeffs", [
+        [[], []],
+        [[]],
+        [[1, 0, 0], [2, 0, 0]],
+        [[0, 0], [0, 0], [0, 0]],
+        [[Fraction(1, 2), 3, 0], [-1, Fraction(-2, 3), 0]],
+        [[1, -1, 0, 0], [-1, 1, 0, 0]],
+    ])
+    def test_raw_tables_match_the_dense_determinant(self, coeffs):
+        # components built by hand from powers of z, zero columns included
+        n = len(coeffs)
+        z = coordinate_sum(n)
+        f = PolyMap(sum((z ** l * c for l, c in enumerate(row, 2)),
+                        Poly.variable(n, k + 1))
+                    for k, row in enumerate(coeffs))
+        assert zshift_det_formula(coeffs) == jacobian_matrix(f).det()
+
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             zshift_det_formula([[1, 2], [3]])
