@@ -213,11 +213,13 @@ def _cmd_compose(args):
 
 def _cmd_decompose(args):
     zmap, digest = _load_map(args)
+    # decompose_zshift recomposes the factors and checks them against the
+    # map before it returns
     result = factor.decompose_zshift(zmap)
     return {"kind": "factorization",
             "factors": [{"gamma": s.gamma, "alphas": s.alphas}
                         for s in result.factors],
-            "verified": result.verify()}, digest
+            "verified": True}, digest
 
 
 def _cmd_member(args):

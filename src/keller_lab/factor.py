@@ -39,10 +39,6 @@ class Factorization:
     factors: tuple[RankOneSpec, ...]
     product: ZShiftMap
 
-    def verify(self) -> bool:
-        return compose_rank_one_factors(
-            self.factors, n=self.product.n) == self.product
-
 
 @dataclass(frozen=True)
 class MinorWitness:

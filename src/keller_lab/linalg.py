@@ -43,10 +43,6 @@ class RatMatrix:
         return cls([[_ONE if i == j else _ZERO for j in range(n)]
                     for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]
@@ -73,10 +69,6 @@ class RatMatrix:
         return tuple(sum((row[j] * v[j] for j in range(self.cols)), _ZERO)
                      for row in self.data)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def rank(self) -> int:
         return len(_rref(self.data, self.cols)[0])
 
@@ -96,10 +88,6 @@ class RatMatrix:
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         return RatMatrix([[Fraction(x, den) for x in row[n:]] for row in rows])
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(x) for x in row) + "]"
-                         for row in self.data)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.data!r})"
@@ -171,14 +159,6 @@ class SolveResult:
     nullspace: tuple[tuple[Fraction, ...], ...]
     rank: int
 
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
-    @property
-    def unique(self) -> bool:
-        return self.solution is not None and not self.nullspace
-
 
 def rat_solve(a: RatMatrix, b: Sequence[int | Fraction]) -> SolveResult:
     """Solve A x = b exactly, reporting inconsistency or free directions."""
@@ -246,9 +226,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Poly:
         i, j = ij
         return self.data[i][j]
-
-    def eval(self, point: Sequence[int | Fraction]) -> RatMatrix:
-        return RatMatrix([[p.eval(point) for p in row] for row in self.data])
 
     def det(self) -> Poly:
         """Exact determinant, computed with no division by the packed-int

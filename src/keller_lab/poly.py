@@ -3,8 +3,9 @@
 A polynomial in n variables x1..xn is a map from exponent tuples (length n,
 non-negative ints) to nonzero Fraction coefficients.  All arithmetic is
 exact; there is no floating point anywhere in this module.  Canonical form:
-no zero coefficients are stored, and iteration/printing follows descending
-graded-lexicographic order, so equal polynomials have equal representations.
+no zero coefficients are stored, and sorted_terms and printing follow
+descending graded-lexicographic order, so equal polynomials have equal
+representations.
 
 Polynomial maps R^n -> R^n are tuples of n such polynomials.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, lcm, log10
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from keller_lab import _kernels
 
@@ -87,11 +88,6 @@ class Poly:
         return cls._wrap(n, {tuple(exps): _ONE})
 
     @classmethod
-    def monomial(cls, n: int, exps: Sequence[int],
-                 coeff: int | Fraction = 1) -> "Poly":
-        return cls(n, {tuple(exps): as_rational(coeff)})
-
-    @classmethod
     def _wrap(cls, n: int, terms: dict) -> "Poly":
         """Wrap an already-canonical term dict without re-validating."""
         p = object.__new__(cls)
@@ -110,9 +106,6 @@ class Poly:
         """Terms in descending graded-lexicographic order."""
         return sorted(self._terms.items(),
                       key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.sorted_terms())
 
     def __len__(self) -> int:
         return len(self._terms)

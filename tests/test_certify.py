@@ -19,7 +19,6 @@ from keller_lab.certify import (
     PlanarShearInput,
     abs_bound_on_box,
     analytic_pair_check,
-    certified_range,
     certify_injective_interval_jacobian,
     certify_injective_sampling,
     certify_injective_zshift,
@@ -108,8 +107,9 @@ class TestGridEnclosure:
 
     def test_certified_range_contains_samples(self):
         p = parse_map(["x^2 - y", "y"]).components[0]
-        lo, hi, cells = certified_range(p, UNIT_BOX, 8)
-        assert cells == 64
+        cells, halves = grid_cells(UNIT_BOX, 8)
+        lo, hi = certify._enclose(p, UNIT_BOX, cells, halves)
+        assert len(cells) == 64
         rng = random.Random(2)
         for _ in range(100):
             pt = random_point(rng, 2, span=1)
@@ -117,8 +117,8 @@ class TestGridEnclosure:
 
     def test_range_narrows_with_resolution(self):
         p = parse_map(["x^2 - y", "y"]).components[0]
-        lo1, hi1, _ = certified_range(p, UNIT_BOX, 4)
-        lo2, hi2, _ = certified_range(p, UNIT_BOX, 16)
+        lo1, hi1 = certify._enclose(p, UNIT_BOX, *grid_cells(UNIT_BOX, 4))
+        lo2, hi2 = certify._enclose(p, UNIT_BOX, *grid_cells(UNIT_BOX, 16))
         assert lo1 <= lo2 and hi2 <= hi1
 
     def test_empty_grid_is_an_error(self):
@@ -126,7 +126,6 @@ class TestGridEnclosure:
         empty = ConvexDomain.halfspaces([(0, 1), (0, 1)], [((1, 1), -5)])
         f = parse_map(["x^2 - y", "y"])
         for run in (lambda: grid_cells(empty, 4),
-                    lambda: certified_range(f.components[0], empty, 4),
                     lambda: certify_injective_interval_jacobian(f, empty, 4),
                     lambda: analytic_pair_check([(0, 0), (1, 0)], empty, 4)):
             with pytest.raises(ValueError, match="no cells"):
@@ -179,7 +178,8 @@ class TestSegmentMatrix:
         mat = RatMatrix([[1, 2], [3, 4]])
         f = linear_poly_map(mat)
         a = segment_matrix(f, (0, 0), (5, -7))
-        assert a == jacobian_matrix(f).eval((0, 0))
+        assert a == RatMatrix([[p.eval((0, 0)) for p in row]
+                               for row in jacobian_matrix(f).data])
 
     def test_hand_integral(self):
         # f = (x^2, y) along the symmetric segment: a11 integrates to 0
@@ -200,7 +200,7 @@ class TestSegmentMatrix:
                 continue
             a = segment_matrix(f, x1, x2)
             delta = tuple(q - p for p, q in zip(x1, x2))
-            moved = a.transpose().apply(delta)
+            moved = RatMatrix(list(zip(*a.data))).apply(delta)
             assert moved == tuple(q - p for p, q
                                   in zip(f.eval(x1), f.eval(x2)))
 
@@ -220,7 +220,7 @@ class TestSegmentMatrix:
         assert a == integrated_partials(f, x1, x2)
         # mean-value identity: f(x2) - f(x1) = A^T (x2 - x1)
         delta = tuple(q - p for p, q in zip(x1, x2))
-        assert a.transpose().apply(delta) == tuple(
+        assert RatMatrix(list(zip(*a.data))).apply(delta) == tuple(
             v - u for u, v in zip(f.eval(x1), f.eval(x2)))
 
     def test_coincident_points_rejected(self):
@@ -481,6 +481,16 @@ class TestAnalyticPairCheck:
             analytic_pair_check([(0, 0), (1, 0)],
                                 ConvexDomain.box([(0, 1)] * 3))
 
+    def test_degree_150_is_read_without_expanding(self):
+        # f' comes from the complex Horner table, one pass per cell, with no
+        # expansion in x and y
+        coeffs = [(0, 0), (1, 0)] + [(Fraction(1, 1000), 0)] * 149
+        half = (Fraction(-1, 2), Fraction(1, 2))
+        start = time.process_time()
+        cert = analytic_pair_check(coeffs, ConvexDomain.box([half, half]))
+        assert time.process_time() - start < 2
+        assert cert.status == INCONCLUSIVE
+
 
 class TestShearCheck:
     def test_identity_h_with_zero_g(self):
@@ -510,6 +520,22 @@ class TestShearCheck:
     def test_gamma_grid_vectors_are_unit(self):
         for ur, ui in unit_gamma_grid(12):
             assert ur * ur + ui * ui == 1
+
+    def test_proven_pair_builds_only_the_angles_it_tries(self, monkeypatch):
+        calls = []
+        half_angle = certify._half_angle_unit
+
+        def counting(t):
+            calls.append(t)
+            return half_angle(t)
+
+        monkeypatch.setattr(certify, "_half_angle_unit", counting)
+        inp = PlanarShearInput(
+            ((0, 0), (1, 0)), ((0, 0), (0, 0), (Fraction(1, 4), 0)))
+        cert = planar_shear_check(inp, resolution=32, gamma_steps=360)
+        assert cert.status == PROVEN
+        assert cert.evidence["angles_tried"] == 2
+        assert len(calls) < 10
 
     def test_monotone_in_gamma_steps(self):
         inp = PlanarShearInput(
@@ -736,6 +762,29 @@ def oracle_enclose(p, domain, centers, halves):
     return min(values) - slack, max(values) + slack
 
 
+def oracle_analytic_parts(coeffs):
+    """u_x and v_x as bivariate Polys: Re and Im of f'(x+iy), by Horner on
+    Poly, as analytic_pair_check expanded them before it read f' from the
+    shear's complex Horner table."""
+    x, y = Poly.variable(2, 1), Poly.variable(2, 2)
+    re = im = Poly.zero(2)
+    for a, b in reversed(certify._cderivative(coeffs)):
+        re, im = re * x - im * y + a, re * y + im * x + b
+    return re, im
+
+
+def oracle_analytic_pair_check(coeffs, domain, resolution):
+    centers, halves = oracle_grid_cells(domain, resolution)
+    ranges = {}
+    for name, p in zip(("u_x", "v_x"), oracle_analytic_parts(coeffs)):
+        lo, hi = oracle_enclose(p, domain, centers, halves)
+        ranges[name] = (lo, hi)
+        if lo > 0 or hi < 0:
+            return PROVEN, {"partial": name, "range": (lo, hi),
+                            "cells": len(centers), "resolution": resolution}
+    return INCONCLUSIVE, {"ranges": ranges, "resolution": resolution}
+
+
 def oracle_shear_grid(inp, resolution):
     centers, halves = oracle_grid_cells(
         ConvexDomain.ball((0, 0), inp.radius), resolution)
@@ -816,8 +865,8 @@ def _box_bounds(draw, n):
 
 
 @st.composite
-def lattice_domains(draw):
-    n = draw(st.integers(1, 3))
+def lattice_domains(draw, n=None):
+    n = draw(st.integers(1, 3)) if n is None else n
     kind = draw(st.sampled_from(["box", "ball", "wide-ball", "half"]))
     if kind == "box":
         return ConvexDomain.box(draw(_box_bounds(n)))
@@ -885,7 +934,8 @@ class TestLatticeOracles:
                 grid_cells(domain, resolution)
             return
         cells, halves = grid_cells(domain, resolution)
-        assert list(cells) == want_centers
+        assert [tuple(Fraction(x, cells.unit) for x in point)
+                for point in cells.points] == want_centers
         assert halves == want_halves
         assert all(len(c) == domain.n for c in cells.points)
         polys = [Poly(domain.n, {(1,) * domain.n: Fraction(-2, 3),
@@ -913,6 +963,29 @@ class TestLatticeOracles:
             inp, resolution, steps)
         assert (shear_margin_grid(inp, resolution, gamma)
                 == oracle_shear_margin_grid(inp, resolution, gamma))
+
+
+    @settings(deadline=None, max_examples=100)
+    @given(domain=lattice_domains(2), resolution=st.integers(1, 8),
+           coeffs=st.lists(st.tuples(_slope, _slope), min_size=1,
+                           max_size=15))
+    @example(domain=ConvexDomain.box([(Fraction(1, 10), 1), (-1, 1)]),
+             resolution=8, coeffs=[(0, 0), (0, 0), (0, Fraction(3, 2))])
+    @example(domain=ConvexDomain.ball((Fraction(1, 3), Fraction(-2, 5)),
+                                      Fraction(3, 7)),
+             resolution=5, coeffs=[(1, 2), (Fraction(-2, 3), 1), (0, 0),
+                                   (Fraction(1, 7), Fraction(-3, 5))])
+    def test_analytic_check_matches_the_bivariate_parts(self, domain,
+                                                        resolution, coeffs):
+        pairs = [(Fraction(re), Fraction(im)) for re, im in coeffs]
+        try:
+            want = oracle_analytic_pair_check(pairs, domain, resolution)
+        except ValueError:
+            with pytest.raises(ValueError, match="no cells"):
+                analytic_pair_check(coeffs, domain, resolution)
+            return
+        cert = analytic_pair_check(coeffs, domain, resolution)
+        assert (cert.status, cert.evidence) == want
 
 
 # -- the interval determinant against the cofactor recursion it replaced ----

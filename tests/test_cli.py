@@ -736,6 +736,32 @@ class TestExitCodes:
         assert captured.err == "error: exponent exceeds the limit of 1000\n"
 
 
+# a degree-2998 coefficient list: at the default grid 32 its lattice scale
+# (2 * 32)^2998 has over 4300 digits
+LONG_COEFFS = ",".join(["0", "1"] + ["1/1000"] * 2998)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvalent", "--expr", "x + (x^1000)^1000", "--expr", "y",
+     "--piece", "box:-1,1;-1,1", "--grid", "4"],
+    ["analytic-check", "--coeffs", LONG_COEFFS, "--domain", "box:-1,1;-1,1"],
+    ["shear-check", "--h", LONG_COEFFS],
+], ids=["pvalent", "analytic-check", "shear-check"])
+def test_grid_past_the_digit_limit_is_one_promptly(capsys, argv):
+    # the degree is refused before any lattice value is built; the pvalent
+    # request's Jacobian entry 1 + 10^6 x^999999 would carry 8^999999
+    start = time.process_time()
+    code = cli.main(argv)
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree ")
+    assert "-digit limit" in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 1
+
+
 # a zero-sum shift map in 9 variables, the parser's limit, of degree 2
 SHIFT_9 = ([f"x1 + 2*{Z9}^2", f"x2 - 3*{Z9}^2", f"x3 + {Z9}^2"]
            + [f"x{i}" for i in range(4, 10)])

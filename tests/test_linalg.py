@@ -46,10 +46,6 @@ class TestRatMatrix:
         a = RatMatrix([[1, 2], [3, 4]])
         assert a.apply((1, 1)) == (3, 7)
 
-    def test_transpose(self):
-        a = RatMatrix([[1, 2, 3], [4, 5, 6]])
-        assert a.transpose() == RatMatrix([[1, 4], [2, 5], [3, 6]])
-
     def test_det_2x2(self):
         assert RatMatrix([[1, 2], [3, 4]]).det() == -2
 
@@ -67,7 +63,7 @@ class TestRatMatrix:
     def test_rank(self):
         assert RatMatrix([[1, 2], [2, 4]]).rank() == 1
         assert RatMatrix.identity(4).rank() == 4
-        assert RatMatrix.zeros(3, 2).rank() == 0
+        assert RatMatrix([[0, 0]] * 3).rank() == 0
 
     def test_inverse_round_trip(self):
         a = RatMatrix([[2, 1], [7, 4]])
@@ -93,19 +89,18 @@ class TestRatSolve:
     def test_unique_solution(self):
         a = RatMatrix([[2, 1], [1, -1]])
         res = rat_solve(a, (5, 1))
-        assert res.unique
+        assert res.solution is not None and not res.nullspace
         assert a.apply(res.solution) == (5, 1)
 
     def test_inconsistent_system(self):
         a = RatMatrix([[1, 1], [1, 1]])
         res = rat_solve(a, (0, 1))
-        assert not res.consistent
         assert res.solution is None
 
     def test_underdetermined_nullspace(self):
         a = RatMatrix([[1, 1, 1]])
         res = rat_solve(a, (3,))
-        assert res.consistent and not res.unique
+        assert res.solution is not None and res.nullspace
         assert len(res.nullspace) == 2
         assert a.apply(res.solution) == (3,)
         for basis_vec in res.nullspace:
@@ -115,7 +110,7 @@ class TestRatSolve:
         a = RatMatrix([[1, 2], [2, 4], [0, 0]])
         res = rat_solve(a, (1, 2, 0))
         assert res.rank == 1
-        assert res.consistent
+        assert res.solution is not None
 
     def test_random_solutions_verify(self):
         rng = random.Random(11)
@@ -126,7 +121,7 @@ class TestRatSolve:
                            for _ in range(rows)])
             b = tuple(rational(rng) for _ in range(rows))
             res = rat_solve(a, b)
-            if res.consistent:
+            if res.solution is not None:
                 assert a.apply(res.solution) == b
             else:
                 # Kronecker-Capelli: augmenting must raise the rank
@@ -153,7 +148,7 @@ def _poly_entries(rng: random.Random, size: int, n: int) -> list[list[Poly]]:
             p = Poly.zero(n)
             for _ in range(rng.randint(0, 3)):
                 mono = tuple(rng.randint(0, 2) for _ in range(n))
-                p = p + Poly.monomial(n, mono, rational(rng, 4))
+                p = p + Poly(n, {mono: rational(rng, 4)})
             row.append(p)
         out.append(row)
     return out
@@ -184,12 +179,6 @@ def poly_matrices(draw):
 
 
 class TestPolyMatrix:
-    def test_eval_matches_entrywise(self):
-        x = Poly.variable(2, 1)
-        y = Poly.variable(2, 2)
-        m = PolyMatrix([[x, y], [y, x]])
-        assert m.eval((2, 3)) == RatMatrix([[2, 3], [3, 2]])
-
     def test_det_2x2(self):
         x = Poly.variable(2, 1)
         y = Poly.variable(2, 2)
@@ -209,7 +198,9 @@ class TestPolyMatrix:
             entries = _poly_entries(rng, size, 2)
             m = PolyMatrix(entries)
             point = (rational(rng, 3), rational(rng, 3))
-            assert m.det().eval(point) == m.eval(point).det()
+            at_point = RatMatrix([[p.eval(point) for p in row]
+                                  for row in entries])
+            assert m.det().eval(point) == at_point.det()
 
     @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     @given(poly_matrices())
@@ -252,8 +243,7 @@ class TestPolyMatrix:
                          min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_det_transpose_invariant(rows):
-    a = RatMatrix(rows)
-    assert a.det() == a.transpose().det()
+    assert RatMatrix(rows).det() == RatMatrix(list(zip(*rows))).det()
 
 
 def leibniz_det(rows):

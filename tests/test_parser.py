@@ -52,7 +52,7 @@ class TestExpressions:
 
     def test_fraction_literal(self):
         p = parse_poly("3/2*x1", 1)
-        assert p == Poly.monomial(1, (1,), Fraction(3, 2))
+        assert p == Poly(1, {(1,): Fraction(3, 2)})
 
     def test_fraction_binds_before_product(self):
         # 1/2*x1 is (1/2)*x1, not 1/(2*x1)
@@ -161,12 +161,12 @@ class TestExpressionErrors:
 
     def test_exponent_up_to_the_cap_parses(self):
         x = Poly.variable(1, 1)
-        assert parse_poly(f"x^{MAX_EXPONENT}", 1) == Poly.monomial(
-            1, (MAX_EXPONENT,))
+        assert parse_poly(f"x^{MAX_EXPONENT}", 1) == Poly(
+            1, {(MAX_EXPONENT,): 1})
         assert parse_poly(f"(x + 1)^{MAX_EXPONENT}", 1).degree() == MAX_EXPONENT
         assert parse_poly("x^0", 1) == x ** 0
-        assert parse_poly("x^000" + str(MAX_EXPONENT), 1) == Poly.monomial(
-            1, (MAX_EXPONENT,))
+        assert parse_poly("x^000" + str(MAX_EXPONENT), 1) == Poly(
+            1, {(MAX_EXPONENT,): 1})
 
     @pytest.mark.parametrize("exponent", [MAX_EXPONENT + 1, 100000000,
                                           "9" * 5000])
@@ -199,8 +199,8 @@ class TestExpressionErrors:
 
     def test_one_term_and_one_variable_powers_stay_legal(self):
         x = Poly.variable(2, 1)
-        assert parse_poly("((x^1000)^1000)^1000", 2) == Poly.monomial(
-            2, (10 ** 9, 0))
+        assert parse_poly("((x^1000)^1000)^1000", 2) == Poly(
+            2, {(10 ** 9, 0): 1})
         assert parse_poly("((y-7)^12)^12", 2) == (
             Poly.variable(2, 2) - 7) ** 144
         assert parse_poly("(x+1)^100*(x+1)^100", 2) == (x + 1) ** 200
@@ -301,7 +301,7 @@ class TestRoundTrip:
     def test_random_polys_round_trip(self, terms):
         p = Poly.zero(2)
         for exps, coeff in terms.items():
-            p = p + Poly.monomial(2, exps, coeff)
+            p = p + Poly(2, {exps: coeff})
         assert parse_poly(str(p), 2) == p
 
 

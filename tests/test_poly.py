@@ -53,7 +53,7 @@ class TestConstruction:
             Poly.variable(2, 3)
 
     def test_monomial(self):
-        m = Poly.monomial(3, (1, 0, 2), Fraction(5))
+        m = Poly(3, {(1, 0, 2): Fraction(5)})
         assert m.degree() == 3
         assert m.coefficient((1, 0, 2)) == 5
         assert m.coefficient((0, 0, 0)) == 0
@@ -429,7 +429,7 @@ def polys(draw, n=2, max_degree=3, max_terms=4):
         max_size=max_terms))
     p = Poly.zero(n)
     for mono, coeff in terms:
-        p = p + Poly.monomial(n, mono, coeff)
+        p = p + Poly(n, {mono: coeff})
     return p
 
 
