@@ -13,6 +13,7 @@ from keller_lab._purepoly import (  # noqa: F401
     compose_terms,
     det_terms,
     eval_terms,
+    lattice_values,
     mul_terms,
     pow_terms,
     scale_terms,

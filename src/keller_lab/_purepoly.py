@@ -8,7 +8,9 @@ tuples packed into one int, coefficients as integer numerators over a
 shared denominator, and one Fraction built per result term.  Products,
 powers, compositions, segment moments and polynomial determinants
 (det_terms, which every PolyMatrix.det runs) all work this way, and all of
-them multiply through the one loop of ``_convolve``.
+them multiply through the one loop of ``_convolve``.  Values at rational
+points (``lattice_values``, which ``eval_terms`` runs at one point) are
+integer sums over one denominator too.
 
 Compositions and segment moments both walk the trie of their monomials
 (``_trie``), in opposite directions.  A composition needs only the sum, so
@@ -21,7 +23,7 @@ and builds each product from its parent's.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
 IMPLEMENTATION = "pure"
@@ -284,9 +286,10 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
 def det_terms(rows: list, n: int) -> dict:
     """Term dict of the determinant of a square matrix of term dicts.
 
-    ``rows`` holds k rows of k term dicts in n variables.  The masked
-    Laplace expansion of ``linalg.expansion_det`` runs on plain ints, and
-    no polynomial is ever divided:
+    ``rows`` holds k rows of k term dicts in n variables.  A Laplace
+    expansion down the rows, its minors memoised by column subset, runs on
+    plain ints, and no polynomial is ever divided; a k x k determinant
+    takes at most k * 2^(k-1) products of one entry with one minor:
 
     * Every entry is packed once, in base ``1 + (the sum of the row
       degrees)`` (at least 2), which exceeds the degree of every minor, and
@@ -366,31 +369,39 @@ def segment_moments(monos, start: tuple, end: tuple) -> tuple[dict, int]:
     return out, unit_t * den_pows[deg]
 
 
-def eval_terms(a: dict, point: tuple) -> Fraction:
-    """Evaluate the term dict at a point (exact).
+def lattice_values(terms: dict, points: list[tuple[int, ...]], unit: int
+                   ) -> tuple[list[int], int]:
+    """The term dict at every point X / unit, as integers over one
+    denominator: the package's one exact real evaluator.
 
-    The sum is kept as one integer numerator over one integer denominator,
-    reduced by their gcd after each term, and one Fraction is built at the
-    end.  Each coordinate's powers are cached as (numerator**e,
-    denominator**e) pairs.
+    With d the total degree and q the lcm of the denominators, each term
+    c x^e is scaled to the integer c * q * unit^(d - |e|), so the sum at an
+    integer point X is p(X / unit) * q * unit^d.  The caller bounds the
+    scale unit^d.
     """
-    caches: list[dict] = [{} for _ in point]
-    acc_num, acc_den = 0, 1
-    for mono, coeff in a.items():
-        num, den = coeff.numerator, coeff.denominator
-        for i, e in enumerate(mono):
-            if e:
-                cache = caches[i]
-                pair = cache.get(e)
-                if pair is None:
-                    x = point[i]
-                    pair = cache[e] = (x.numerator ** e, x.denominator ** e)
-                num *= pair[0]
-                den *= pair[1]
-        acc_num = acc_num * den + num * acc_den
-        acc_den *= den
-        g = gcd(acc_num, acc_den)
-        if g > 1:
-            acc_num //= g
-            acc_den //= g
-    return Fraction(acc_num, acc_den)
+    degree = max(map(sum, terms), default=0)
+    q = lcm(*[c.denominator for c in terms.values()])
+    # a term keeps its nonzero exponents as (slot, exponent) pairs, so no
+    # point pays for the x^0 factors
+    scaled = [(c.numerator * (q // c.denominator)
+               * unit ** (degree - sum(mono)),
+               [(i, e) for i, e in enumerate(mono) if e])
+              for mono, c in terms.items()]
+    values = []
+    for point in points:
+        total = 0
+        for c, factors in scaled:
+            for i, e in factors:
+                c *= point[i] ** e
+            total += c
+        values.append(total)
+    return values, q * unit ** degree
+
+
+def eval_terms(a: dict, point: tuple) -> Fraction:
+    """Evaluate the term dict at a rational point (exact): lattice_values
+    at the one point, over the lcm of its denominators."""
+    unit = lcm(*[x.denominator for x in point])
+    (value,), den = lattice_values(
+        a, [tuple(x.numerator * (unit // x.denominator) for x in point)], unit)
+    return Fraction(value, den)

@@ -13,19 +13,18 @@ Three certifier flavours, in decreasing strength:
     prove injectivity outright;
   * rigorous grid enclosures prove strict sign conditions over whole
     domains.  Each check builds one grid (grid_cells); _enclose widens a
-    real polynomial's cell-centre values by a Lipschitz slack from
-    coefficient bounds; the planar criteria read f' from one complex
-    Horner table (_derivative_table) and widen it by second-derivative
-    bounds instead.  The grid is an integer lattice: every cell centre is
-    X/unit for an integer point X and one integer unit per grid, so the
-    cell tests, the polynomial values and the shear scan run on ints, and
-    a Fraction is built only for a bound or margin that is reported.  A
-    grid, and a shear scan's angle list, holds at most MAX_GRID points,
-    pair sampling runs at most MAX_GRID trials, and no lattice scale
-    unit^degree passes the digit limit.
-    The interval Jacobian's determinant is linalg.expansion_det, the
-    Laplace expansion that PolyMatrix.det runs on packed ints, over
-    Interval entries;
+    real polynomial's cell-centre values (the kernel's lattice_values) by
+    a Lipschitz slack from coefficient bounds; the planar criteria read f'
+    from one complex Horner table (_derivative_table) and widen it by
+    second-derivative bounds instead.  The grid is an integer lattice:
+    every cell centre is X/unit for an integer point X and one integer
+    unit per grid, so the cell tests, the polynomial values and the shear
+    scan run on ints, and a Fraction is built only for a bound or margin
+    that is reported.  A grid, and a shear scan's angle list, holds at
+    most MAX_GRID points, pair sampling runs at most MAX_GRID trials, and
+    no lattice scale unit^degree passes the digit limit.
+    The interval Jacobian encloses each distinct partial once and takes
+    the determinant of the Interval matrix by cofactor expansion;
   * randomized pair sampling can only find failure witnesses or report
     statistics - it never claims a proof.
 
@@ -34,6 +33,7 @@ All certificates carry re-checkable evidence and every number is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Iterable, Iterator, Sequence
@@ -44,7 +44,7 @@ from math import lcm, log10
 from keller_lab import _kernels
 from keller_lab.families import ZShiftMap
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import RatMatrix, expansion_det
+from keller_lab.linalg import RatMatrix
 from keller_lab.poly import (
     ExpansionLimitError, Poly, PolyMap, as_rational, digit_limit)
 
@@ -262,35 +262,11 @@ def _check_scale(unit: int, degree: int) -> None:
             f"{unit}^{degree} passes the {limit}-digit limit")
 
 
-def _lattice_values(terms: dict, cells: LatticeCells
-                    ) -> tuple[list[int], int]:
-    """p at every cell centre, as integers over one denominator.
-
-    With d the total degree and q the lcm of p's denominators, each term
-    c x^e is scaled to the integer c * q * unit^(d - |e|), so the sum at an
-    integer point X is p(X / unit) * q * unit^d.
-    """
-    unit = cells.unit
-    degree = max(map(sum, terms), default=0)
-    _check_scale(unit, degree)
-    q = lcm(*[c.denominator for c in terms.values()])
-    scaled = [(_scaled(c, q) * unit ** (degree - sum(mono)), mono)
-              for mono, c in terms.items()]
-    values = []
-    for point in cells.points:
-        total = 0
-        for c, mono in scaled:
-            for x, e in zip(point, mono):
-                c *= x ** e
-            total += c
-        values.append(total)
-    return values, q * unit ** degree
-
-
 def _enclose(p: Poly, domain: ConvexDomain, cells: LatticeCells,
              halves: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """(lo, hi) enclosing p over the grid_cells (cells, halves) of domain."""
-    values, den = _lattice_values(p.terms, cells)
+    _check_scale(cells.unit, max(p.degree(), 0))
+    values, den = _kernels.lattice_values(p.terms, cells.points, cells.unit)
     # |p(x) - p(center)| <= sum_i sup|dp/dx_i| * half_i within a cell
     slack = sum((abs_bound_on_box(p.partial(i + 1), domain.bounds) * halves[i]
                  for i in range(domain.n)), _ZERO)
@@ -452,6 +428,35 @@ class Interval:
         return Interval(min(products), max(products))
 
 
+def _interval_det(m: Sequence[Sequence[Interval]]) -> Interval:
+    """Determinant of a square Interval matrix by cofactor expansion down
+    its columns, each minor memoised by its set of rows.
+
+    Interval sums of rationals are exact and only products are
+    subdistributive (Moore, Interval Analysis, 1966), so the bound depends
+    on which column each minor is expanded down, not on the order of the
+    sums.
+    """
+    size = len(m)
+
+    @functools.cache
+    def minor(rows: int) -> Interval:
+        """The minor of the rows in the bit mask rows and the last
+        rows.bit_count() columns, expanded down its first column."""
+        if not rows:
+            return Interval(_ONE, _ONE)
+        j = size - rows.bit_count()
+        total, sign = Interval(_ZERO, _ZERO), 1
+        for i in range(size):
+            if rows >> i & 1:
+                term = m[i][j] * minor(rows ^ (1 << i))
+                total = total + term if sign > 0 else total - term
+                sign = -sign
+        return total
+
+    return minor((1 << size) - 1)
+
+
 def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
                                         resolution: int = 16) -> Certificate:
     """Prove injectivity by excluding zero from an interval determinant.
@@ -460,9 +465,8 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
     inside the convex domain, so it lies in that partial's certified range.
     If no matrix with entries in these ranges is singular (an interval
     determinant excluding zero), the criterion holds for every pair.
-    Interval products do not distribute, so the expansion order shapes the
-    bound: expansion_det gets the transposed matrix, to expand down the
-    Jacobian's columns.
+    Equal partials share one enclosure, and the determinant expands down
+    the Jacobian's columns (_interval_det).
     """
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
@@ -471,9 +475,15 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
         raise ValueError("the interval Jacobian certificate takes n <= 4")
     cells, halves = grid_cells(domain, resolution)
     jm = jacobian_matrix(f)
-    det = expansion_det([[Interval(*_enclose(jm[i, j], domain, cells, halves))
-                          for i in range(f.n)] for j in range(f.n)],
-                        Interval(_ZERO, _ZERO))
+    # column by column: past the digit limit, the first refused entry
+    # down the columns names the degree in the error
+    ranges: dict[Poly, Interval] = {}
+    for j in range(f.n):
+        for i in range(f.n):
+            if jm[i, j] not in ranges:
+                ranges[jm[i, j]] = Interval(
+                    *_enclose(jm[i, j], domain, cells, halves))
+    det = _interval_det([[ranges[p] for p in row] for row in jm.data])
     lo, hi = det.lo, det.hi
     evidence = {
         "det_range": (lo, hi),

@@ -34,10 +34,9 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Factorization:
-    """Rank-one factors whose left-to-right composition is product."""
+    """Rank-one factors whose left-to-right composition is the map."""
 
     factors: tuple[RankOneSpec, ...]
-    product: ZShiftMap
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def decompose_zshift(f: ZShiftMap) -> Factorization:
                     for g, alphas in zip(difference_gammas(f.n), running))
     if compose_rank_one_factors(factors, n=f.n) != f:
         raise AssertionError("factorization failed to reproduce the map")
-    return Factorization(factors, f)
+    return Factorization(factors)
 
 
 def rank_one_membership(f: ZShiftMap) -> MembershipResult:

@@ -3,9 +3,7 @@
 RatMatrix covers the scalar side: elimination, determinants, inverses and
 general linear solving with an explicit nullspace.  The determinant of a
 PolyMatrix (a matrix of polynomials) runs on the packed-int kernel
-_purepoly.det_terms, a division-free Laplace expansion.  expansion_det is
-the same expansion over any commutative ring; it serves only certify's
-interval matrices.
+_purepoly.det_terms, a division-free Laplace expansion.
 """
 
 from __future__ import annotations
@@ -229,42 +227,10 @@ class PolyMatrix:
 
     def det(self) -> Poly:
         """Exact determinant, computed with no division by the packed-int
-        kernel det_terms: expansion_det's Laplace expansion, on packed int
-        terms over one shared denominator."""
+        kernel det_terms: a Laplace expansion on packed int terms over one
+        shared denominator."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return Poly._wrap(self.n, _kernels.det_terms(
             [[p.terms for p in row] for row in self.data], self.n))
 
-
-def expansion_det(rows: Sequence[Sequence], zero):
-    """Determinant of a square matrix over a commutative ring, no division.
-
-    It serves only certify's interval matrices; PolyMatrix.det runs the
-    same expansion on packed ints (_purepoly.det_terms).  The entries need
-    +, - and *, and == against the ring's zero.  Laplace expansion down
-    the rows, with the minors memoised by column subset.
-    The minors of the last k rows are keyed by the bit mask of their k
-    columns.  Each row above extends every nonzero minor by each unused
-    column whose entry is nonzero, so a k x k determinant takes at most
-    k * 2^(k-1) products, each of one entry with one minor.
-    """
-    minors = {1 << j: p for j, p in enumerate(rows[-1]) if p != zero}
-    for row in reversed(rows[:-1]):
-        entries = [(1 << j, p) for j, p in enumerate(row) if p != zero]
-        plus, minus = {}, {}
-        for mask, minor in minors.items():
-            for bit, entry in entries:
-                if mask & bit:
-                    continue
-                # the cofactor sign counts the used columns left of bit
-                side = minus if (mask & (bit - 1)).bit_count() & 1 else plus
-                key = mask | bit
-                term = entry * minor
-                side[key] = side[key] + term if key in side else term
-        minors = {}
-        for key in plus.keys() | minus.keys():
-            minor = plus.get(key, zero) - minus.get(key, zero)
-            if minor != zero:
-                minors[key] = minor
-    return minors.get((1 << len(rows)) - 1, zero)

@@ -435,7 +435,7 @@ def _power_digits(base: Poly, k: int) -> float:
     the power has a numerator of at most (sum |a_i|)^k and a denominator
     dividing D^k."""
     coeffs = base._terms.values()
-    den = lcm(*(c.denominator for c in coeffs))
+    den = lcm(*[c.denominator for c in coeffs])
     top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
     return k * log10(max(top, den))
 

@@ -33,7 +33,7 @@ from keller_lab.certify import (
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.jacobian import jacobian_matrix
-from keller_lab.linalg import RatMatrix, expansion_det, linear_poly_map
+from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
 from keller_lab.poly import Poly, PolyMap
 
@@ -409,6 +409,22 @@ class TestIntervalJacobianCertifier:
                 continue
             det = segment_matrix(f, x1, x2).det()
             assert lo <= det <= hi
+
+    def test_each_distinct_entry_is_enclosed_once(self, monkeypatch):
+        # 16 entries, 4 distinct: 0, 1, 2*x4 and -3*x1^2
+        f = parse_map(["x1 + x4^2", "x2", "x3 - x1^3", "x4"])
+        calls = []
+        enclose = certify._enclose
+
+        def counting(p, *args):
+            calls.append(p)
+            return enclose(p, *args)
+
+        monkeypatch.setattr(certify, "_enclose", counting)
+        dom = ConvexDomain.box([(-1, 1)] * 4)
+        cert = certify_injective_interval_jacobian(f, dom, resolution=2)
+        assert cert.status == PROVEN
+        assert len(calls) == len(set(calls)) == 4
 
 
 def counted_grids(monkeypatch) -> list:
@@ -988,11 +1004,11 @@ class TestLatticeOracles:
         assert (cert.status, cert.evidence) == want
 
 
-# -- the interval determinant against the cofactor recursion it replaced ----
+# -- the interval determinant against a plain cofactor recursion -----------
 
 def oracle_interval_det(m):
-    """The column-0 cofactor recursion on (lo, hi) pairs that computed the
-    interval Jacobian's determinant before it moved onto expansion_det."""
+    """The column-0 cofactor recursion on (lo, hi) pairs, with no memo and
+    no Interval type."""
     def imul(a, b):
         products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
         return min(products), max(products)
@@ -1018,10 +1034,9 @@ def oracle_interval_det(m):
 
 
 def interval_det(m):
-    """expansion_det of the transposed matrix, as certify runs it."""
-    det = expansion_det([[certify.Interval(*m[i][j]) for i in range(len(m))]
-                         for j in range(len(m))],
-                        certify.Interval(Fraction(0), Fraction(0)))
+    """certify's interval determinant of the (lo, hi) pairs m."""
+    det = certify._interval_det([[certify.Interval(*x) for x in row]
+                                 for row in m])
     return det.lo, det.hi
 
 

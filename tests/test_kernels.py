@@ -10,7 +10,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import keller_lab
 from keller_lab import _kernels, _purepoly
-from keller_lab.linalg import expansion_det
 from keller_lab.poly import Poly
 
 
@@ -62,6 +61,11 @@ coordinates = st.one_of(
 
 eval_cases = st.integers(0, 3).flatmap(
     lambda n: st.tuples(term_dicts(n), st.tuples(*[coordinates] * n)))
+
+# integer points of mixed sign, read over units from 1 up
+lattice_cases = st.integers(0, 3).flatmap(lambda n: st.tuples(
+    term_dicts(n), st.lists(st.tuples(*[st.integers(-9, 9)] * n), max_size=4),
+    st.integers(1, 12)))
 
 
 def substitute(outer, components, n):
@@ -234,6 +238,21 @@ class TestKernelContracts:
         val = kernel.eval_terms(a, (Fraction(1, 3), Fraction(6)))
         assert val == Fraction(3, 2) * Fraction(1, 9) * 6 - Fraction(1, 3)
         assert isinstance(val, Fraction)
+
+    @given(case=lattice_cases)
+    @example(case=({}, [(3, -2), (0, 0)], 5))
+    @example(case=({(0, 0): Fraction(-3, 4)}, [(1, 1), (-2, 7)], 1))
+    @example(case=({(2, 1): Fraction(5, 3), (0, 1): Fraction(-1, 2)},
+                   [(-3, 4), (5, -1), (0, 0)], 6))
+    @example(case=({(): Fraction(7)}, [()], 3))
+    def test_lattice_values_match_naive_sums(self, kernel, case):
+        a, points, unit = case
+        values, den = kernel.lattice_values(a, points, unit)
+        assert isinstance(den, int) and den > 0
+        assert all(isinstance(v, int) for v in values)
+        assert [Fraction(v, den) for v in values] == [
+            naive_eval(a, tuple(Fraction(x, unit) for x in point))
+            for point in points]
 
     @given(pair=operand_pairs)
     def test_mul_matches_schoolbook(self, kernel, pair):
@@ -475,9 +494,6 @@ class TestKernelContracts:
 
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(case=det_cases)
-    def test_det_matches_expansion_and_leibniz(self, kernel, case):
+    def test_det_matches_leibniz(self, kernel, case):
         n, rows = case
-        got = kernel.det_terms(rows, n)
-        polys = [[Poly(n, p) for p in row] for row in rows]
-        assert got == expansion_det(polys, Poly.zero(n)).terms
-        assert got == leibniz_terms(rows, n)
+        assert kernel.det_terms(rows, n) == leibniz_terms(rows, n)

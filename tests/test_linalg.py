@@ -14,7 +14,6 @@ from keller_lab.jacobian import jacobian_matrix, zshift_det_formula
 from keller_lab.linalg import (
     PolyMatrix,
     RatMatrix,
-    expansion_det,
     linear_poly_map,
     rat_solve,
 )
@@ -258,17 +257,6 @@ def leibniz_det(rows):
         term = prod((rows[i][perm[i]] for i in range(len(perm))), start=1)
         total += -term if inversions % 2 else term
     return total
-
-
-@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
-@given(st.integers(1, 6).flatmap(lambda size: st.lists(
-    st.lists(st.one_of(st.just(Fraction(0)),
-                       st.fractions(min_value=-4, max_value=4,
-                                    max_denominator=3)),
-             min_size=size, max_size=size),
-    min_size=size, max_size=size)))
-def test_expansion_det_matches_leibniz_on_fractions(rows):
-    assert expansion_det(rows, Fraction(0)) == leibniz_det(rows)
 
 
 @st.composite
