@@ -18,6 +18,13 @@ it walks the trie in post-order, a multivariate Horner scheme: each node
 adds its children's suffix sums, and those shrink with depth.  Segment
 moments need each monomial's own product, so ``_products`` walks forward
 and builds each product from its parent's.
+
+A composition whose x_n-fibres are dense folds x_n into the numerators
+(x_n -> 2**w, one-variable Kronecker substitution), so one bigint multiply
+does a whole fibre product; ``_fold_width`` bounds the slot width w from the
+inputs and decides, from the inputs alone, whether folding pays.  Only the
+last variable is folded: the exponent box of a simplex-dense polynomial in
+all its variables is mostly empty, but its x_n-fibres are full.
 """
 
 from __future__ import annotations
@@ -113,6 +120,95 @@ def _unpacked(packed: dict, base: int, n: int, den: int) -> dict:
     return out
 
 
+def _folded(packed: dict, base: int, width: int) -> dict:
+    """Fold the last base-digit of every packed key into its numerator, as
+    the slot of ``width`` bits that x_n -> 2**width gives it.
+
+    A folded key holds x_1..x_{n-1} (the key divided by base) and its value
+    a whole x_n-fibre, so multiplying two values multiplies the fibres.  The
+    map is a ring map: sums and products of folded dicts are the folded sums
+    and products, whatever sizes their slots reach on the way.
+    """
+    out: dict = {}
+    get = out.get
+    for key, num in packed.items():
+        head, e = divmod(key, base)
+        out[head] = get(head, 0) + (num << (width * e))
+    return out
+
+
+def _unfolded(folded: dict, base: int, width: int) -> dict:
+    """The packed dict of a folded one whose every coefficient is below
+    2**(width - 1) in absolute value: each slot is read as a balanced
+    residue, lowest slot first.  Zero slots are left out.
+
+    A run of zero slots is skipped in one shift, so a long fibre with few
+    terms, such as the one term y^38000 of y^38 under y -> y^1000, costs
+    one pass over the value per term, not one per slot.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = {}
+    for head, value in folded.items():
+        key = head * base
+        while value:
+            num = value & mask
+            if not num:
+                zeros = ((value & -value).bit_length() - 1) // width
+                value >>= width * zeros
+                key += zeros
+                continue
+            if num >= half:
+                num -= mask + 1
+            out[key] = num
+            value = (value - num) >> width
+            key += 1
+    return out
+
+
+def _slot_width(top: int, shared: int, packed: list, deg: int) -> int:
+    """A slot width that holds every coefficient of a composition's
+    numerator as a balanced residue.
+
+    Each such coefficient is at most ``top * M**deg`` in absolute value,
+    where top is the sum of the outer's absolute scaled numerators c'_v and
+    M the larger of D (``shared``) and every component's sum of absolute
+    numerators over D; two bits above that bound's length leave room for
+    the sign.
+    """
+    norm = max([shared] + [sum(map(abs, g.values())) for g in packed])
+    return (top * norm ** deg).bit_length() + 2
+
+
+def _fold_width(scaled: dict, shared: int, packed: list, deg: int,
+                inner_deg: int, base: int) -> int:
+    """The slot width at which ``compose_terms`` folds x_n, or 0 to leave
+    the packed keys as they are; ``scaled`` holds the outer's numerators
+    c'_v.
+
+    Folding pays when the fibres are long enough to hand C's bigint
+    multiply real work (a result degree of at least 6), the components'
+    terms fill at least half of the slots that their fibres span, from
+    x_n^0 to each fibre's top power, and the slots stay narrow (at most 400
+    bits).  The checks run cheapest first: sparse maps stop before the
+    width's power is taken.
+    """
+    if deg * inner_deg < 6:
+        return 0
+    terms = spanned = 0
+    for g in packed:
+        tops: dict = {}
+        for key in g:
+            head, e = divmod(key, base)
+            if e >= tops.get(head, 0):
+                tops[head] = e + 1
+        terms += len(g)
+        spanned += sum(tops.values())
+    if 2 * terms < spanned:
+        return 0
+    width = _slot_width(sum(map(abs, scaled.values())), shared, packed, deg)
+    return width if width <= 400 else 0
+
+
 def mul_terms(a: dict, b: dict) -> dict:
     """Return the term dict of a * b (schoolbook convolution).
 
@@ -145,7 +241,8 @@ def mul_terms(a: dict, b: dict) -> dict:
 def pow_terms(a: dict, k: int, n: int) -> dict:
     """Return the term dict of a**k (k >= 0); n is the variable count.
 
-    Iterated multiplication beats binary powering here: simplex-dense
+    A one-term operand c x^e gives c**k x^(k e) directly.  Otherwise,
+    iterated multiplication beats binary powering here: simplex-dense
     operands make big*small products cheaper than big*big squarings.  The
     operand is packed once, in base ``k * deg(a) + 1``, which exceeds the
     degree of every partial power.
@@ -156,6 +253,9 @@ def pow_terms(a: dict, k: int, n: int) -> dict:
         return {(0,) * n: Fraction(1)}
     if not a:
         return {}
+    if len(a) == 1:
+        (mono, coeff), = a.items()
+        return {tuple(k * e for e in mono): coeff ** k}
     base = k * _degree(a) + 1
     terms, den = _packed(a, base)
     out = terms
@@ -233,14 +333,29 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
       for an outer monomial v with coefficient c, and 0 for any other node;
       ``Q`` is the LCM of outer's denominators.  Then T(root) over
       ``Q * D**deg`` is the composition.
+    * One variable can ride in the numerators (a one-variable Kronecker
+      substitution): ``_folded`` maps x_n to 2**w, so each key keeps
+      x_1..x_{n-1} and each value holds a whole x_n-fibre in signed slots
+      of w bits, and multiplying two values, in C's bigint multiply, is
+      the fibre product.  The walk runs unchanged on the folded dicts, and
+      ``_unfolded`` reads the slots back before the keys are unpacked.  The
+      width w (``_slot_width``) exceeds the bound ``top * M**deg`` on every
+      coefficient of T(root) by two bits, with top the sum of the |c'_v|
+      and M the larger of D and every sum of |G_i|'s numerators, so the
+      balanced residues decode exactly; intermediate sums may overflow
+      their slots, since x_n -> 2**w is a ring map.  ``_fold_width``
+      decides from the inputs alone: it folds when the result degree
+      ``deg * deg(inner)`` is at least 6, w is at most 400 bits and the
+      components' terms fill at least half of the slots their fibres
+      span; sparse fibres and wide coefficients keep the plain keys.
     * The trie is walked in post-order with an explicit stack of (node
       accumulator, children left, edge factor) frames, so a degree-1500
       chain does not recurse.  A finished child's sum is convolved with its
       ``G_i`` straight into the parent's accumulator, and a childless node
       adds ``c' * G_i`` there without a frame.  Suffix sums shrink with
       depth, where the forward walk's products grow, so dense outers (shift
-      maps) take far fewer multiply-adds.  Keys are unpacked and Fractions
-      built once at the end.
+      maps) take far fewer multiply-adds.  Slots are unfolded, keys
+      unpacked and Fractions built once at the end.
     """
     if not outer:
         return {}
@@ -253,14 +368,18 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
               for terms, den in packs]
     q = lcm(*[coeff.denominator for coeff in outer.values()])
     shared_pows = [shared ** k for k in range(deg + 1)]
+    scaled = {mono: coeff.numerator * (q // coeff.denominator)
+              for mono, coeff in outer.items()}
+    width = _fold_width(scaled, shared, packed, deg, inner_deg, base)
+    if width:
+        packed = [_folded(g, base, width) for g in packed]
 
     def own(mono):
         """A fresh accumulator holding c'_v * D**(deg - |v|)."""
-        coeff = outer.get(mono)
-        if coeff is None:
+        num = scaled.get(mono)
+        if num is None:
             return {}
-        return {0: (coeff.numerator * (q // coeff.denominator)
-                    * shared_pows[deg - sum(mono)])}
+        return {0: num * shared_pows[deg - sum(mono)]}
 
     children = _trie(outer)
     root = (0,) * len(components)
@@ -280,6 +399,8 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
             acc, todo, edge = stack.pop()
             _convolve(done, packed[i], acc)
         else:
+            if width:
+                acc = _unfolded(acc, base, width)
             return _unpacked(acc, base, n, q * shared_pows[deg])
 
 

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import keller_lab
+from conftest import random_keller_table
 from keller_lab import _kernels, _purepoly
+from keller_lab.families import ZShiftMap, zshift_inverse
+from keller_lab.parser import parse_map
 from keller_lab.poly import Poly
 
 
@@ -320,6 +323,18 @@ class TestKernelContracts:
                 expected = kernel.mul_terms(expected, a)
             assert kernel.pow_terms(a, k, 2) == expected
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_pow_of_one_term_matches_repeated_mul(self, kernel, k):
+        # a one-term base is raised directly: negative and fractional
+        # coefficients, a constant, and no variables at all
+        for n, a in ((0, {(): Fraction(-3, 2)}), (1, {(2,): Fraction(-1)}),
+                     (2, {(0, 0): Fraction(-2, 9)}),
+                     (3, {(1, 0, 2): Fraction(5, 7)})):
+            expected = {(0,) * n: Fraction(1)}
+            for _ in range(k):
+                expected = kernel.mul_terms(expected, a)
+            assert kernel.pow_terms(a, k, n) == expected
+
     @settings(deadline=None)
     @given(case=compose_cases)
     def test_compose_matches_substitution(self, kernel, case):
@@ -497,3 +512,140 @@ class TestKernelContracts:
     def test_det_matches_leibniz(self, kernel, case):
         n, rows = case
         assert kernel.det_terms(rows, n) == leibniz_terms(rows, n)
+
+
+def digit_table(rng, n, m, digits):
+    """A zero-sum shift table for degrees 2..m whose entries have
+    numerators and denominators of the given number of digits."""
+    lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+    rows = [[Fraction(rng.choice((-1, 1)) * rng.randint(lo, hi),
+                      rng.randint(lo, hi)) for _ in range(m - 1)]
+            for _ in range(n - 1)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    return rows
+
+
+def round_trips(table):
+    """(outer, inner) term-dict maps of f^-1 o f and f o f^-1, where f is
+    the shift map of the table."""
+    f = ZShiftMap(table)
+    terms = [c.terms for c in f.components]
+    inverse = [c.terms for c in zshift_inverse(f).components]
+    return [(inverse, terms), (terms, inverse)]
+
+
+def parsed_pair(outer, inner):
+    return [([c.terms for c in parse_map(outer).components],
+             [c.terms for c in parse_map(inner).components])]
+
+
+# compositions on each side of compose_terms' fold rule: dense shift maps
+# fold x_n; 20-digit coefficients need slots over 400 bits, and three terms
+# spread over 31 slots fill too few, so those keep the plain keys
+FOLD_SIDES = {
+    "shift (2,6)": (True, lambda: round_trips(
+        random_keller_table(random.Random("fold:2,6"), 2, 6))),
+    "shift (4,3)": (True, lambda: round_trips(
+        random_keller_table(random.Random("fold:4,3"), 4, 3))),
+    "20-digit table": (False, lambda: round_trips(
+        digit_table(random.Random("fold:20"), 2, 3, 20))),
+    "sparse degree 30": (False, lambda: parsed_pair(
+        ["x1 + 3*x1^2 - 7/5*x1^30"], ["x1 - 2/9*x1^3 + x1^30"])),
+}
+
+
+def slot_width_of(outer, components):
+    """compose_terms' slot width, from numerators scaled here: the outer's
+    over the lcm q of its denominators, the components' over their shared
+    lcm D."""
+    q = lcm(*[c.denominator for c in outer.values()])
+    shared = lcm(*[c.denominator for g in components for c in g.values()])
+    top = sum(abs(int(c * q)) for c in outer.values())
+    numerators = [{mono: int(c * shared) for mono, c in g.items()}
+                  for g in components]
+    deg = max(sum(mono) for mono in outer)
+    return (_purepoly._slot_width(top, shared, numerators, deg),
+            q * shared ** deg)
+
+
+def assert_width_bounds(outer, components, n):
+    """Every numerator of the composition over q * D**deg fits a balanced
+    slot of the width compose_terms would choose."""
+    if not outer:
+        return
+    width, den = slot_width_of(outer, components)
+    for coeff in _purepoly.compose_terms(outer, components, n).values():
+        numerator = coeff * den
+        assert numerator.denominator == 1
+        assert abs(numerator) < 2 ** (width - 1)
+
+
+class TestFoldedCompose:
+    """compose_terms' fold of x_n into the numerators (x_n -> 2**width)."""
+
+    @pytest.fixture
+    def fold_calls(self, monkeypatch):
+        """The widths of every _folded call, one per folded component."""
+        calls = []
+        fold = _purepoly._folded
+
+        def recording(packed, base, width):
+            calls.append(width)
+            return fold(packed, base, width)
+
+        monkeypatch.setattr(_purepoly, "_folded", recording)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fold_round_trip_at_the_slot_limits(self, n):
+        # both balanced limits, zero slots between them and a negative top
+        # slot; with n = 1 every key folds into head 0
+        width, base = 8, 10
+        edge = 2 ** (width - 1) - 1
+        fibres = {0: [edge, 0, -edge, 0, 0, 3, -edge],
+                  1: [-edge, edge, 0, -1],
+                  5: [0, 0, edge]}
+        if n == 1:
+            fibres = {0: fibres[0]}
+        packed = {head * base + e: num for head, fibre in fibres.items()
+                  for e, num in enumerate(fibre) if num}
+        folded = _purepoly._folded(packed, base, width)
+        assert folded == {head: sum(num << (width * e)
+                                    for e, num in enumerate(fibre))
+                          for head, fibre in fibres.items()}
+        assert folded[0] < 0
+        assert _purepoly._unfolded(folded, base, width) == packed
+
+    def test_unfold_drops_zero_fibres_and_skips_zero_slots(self):
+        assert _purepoly._unfolded({0: 0, 3: 0}, 5, 6) == {}
+        # one term atop 10^5 zero slots, as y^38 under y -> y^1000 leaves
+        # it: read slot by slot, this takes over a second
+        top = 10 ** 5
+        assert (_purepoly._unfolded({2: -3 << (3 * top)}, top + 1, 3)
+                == {2 * (top + 1) + top: -3})
+
+    @pytest.mark.parametrize("name", FOLD_SIDES)
+    def test_each_side_of_the_rule_matches_substitution(self, name,
+                                                        fold_calls):
+        folds, build = FOLD_SIDES[name]
+        for outer, inner in build():
+            n = len(inner)
+            for component in outer:
+                del fold_calls[:]
+                got = _purepoly.compose_terms(component, inner, n)
+                assert got == substitute(component, inner, n)
+                # a folding call folds each of its n components once
+                assert len(fold_calls) == (n if folds else 0)
+
+    @settings(deadline=None)
+    @given(case=compose_cases)
+    def test_slot_width_bounds_every_numerator(self, case):
+        n, (outer, components) = case
+        assert_width_bounds(outer, list(components), n)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 6), (4, 3)])
+    def test_slot_width_bounds_seven_digit_round_trips(self, shape):
+        table = digit_table(random.Random(f"width:{shape}"), *shape, 7)
+        for outer, inner in round_trips(table):
+            for component in outer:
+                assert_width_bounds(component, inner, len(inner))
