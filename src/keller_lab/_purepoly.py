@@ -21,10 +21,10 @@ and builds each product from its parent's.
 
 A composition whose x_n-fibres are dense folds x_n into the numerators
 (x_n -> 2**w, one-variable Kronecker substitution), so one bigint multiply
-does a whole fibre product; ``_fold_width`` bounds the slot width w from the
-inputs and decides, from the inputs alone, whether folding pays.  Only the
-last variable is folded: the exponent box of a simplex-dense polynomial in
-all its variables is mostly empty, but its x_n-fibres are full.
+does a whole fibre product; ``_slot_width`` bounds the slot width w, and
+``_fold_width`` decides, from the inputs alone, whether folding pays.  Only
+the last variable is folded: the exponent box of a simplex-dense polynomial
+in all its variables is mostly empty, but its x_n-fibres are full.
 """
 
 from __future__ import annotations
