@@ -12,6 +12,12 @@ them multiply through the one loop of ``_convolve``.  Values at rational
 points (``lattice_values``, which ``eval_terms`` runs at one point) are
 integer sums over one denominator too.
 
+The integer product and power, ``mul_ints`` and ``pow_ints``, take and
+return {exponent tuple: integer} dicts with no denominator at all.
+``mul_terms`` and ``pow_terms`` wrap them, and the parser calls them
+directly on its numerators, so an expression builds one Fraction per term
+of each finished component and none per intermediate term.
+
 Compositions and segment moments both walk the trie of their monomials
 (``_trie``), in opposite directions.  A composition needs only the sum, so
 it walks the trie in post-order, a multivariate Horner scheme: each node
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterator
 
 IMPLEMENTATION = "pure"
@@ -73,20 +80,34 @@ def _degree(a: dict) -> int:
     return max(sum(mono) for mono in a)
 
 
-def _packed(a: dict, base: int) -> tuple[dict, int]:
-    """{packed exponent: integer numerator} over a's LCM denominator."""
+def _numerators(a: dict) -> tuple[dict, int]:
+    """{exponent tuple: integer numerator} over a's LCM denominator."""
     # lcm gets a list, never a generator: unpacking a generator into a call
     # builds its argument tuple by resizing, and every call then leaves one
     # more tuple on the interpreter's tuple free list, so memory crept up
     # with each compose
     den = lcm(*[coeff.denominator for coeff in a.values()])
+    return {mono: coeff.numerator * (den // coeff.denominator)
+            for mono, coeff in a.items()}, den
+
+
+def terms_over(nums: dict, den: int) -> dict:
+    """The term dict of {exponent tuple: nonzero integer numerator} over
+    den: one Fraction per term."""
+    if den == 1:
+        return {mono: Fraction(num) for mono, num in nums.items()}
+    return {mono: Fraction(num, den) for mono, num in nums.items()}
+
+
+def _packed(nums: dict, base: int, scale: int = 1) -> dict:
+    """{packed exponent: numerator * scale} of an integer-numerator dict."""
     out = {}
-    for mono, coeff in a.items():
+    for mono, num in nums.items():
         key = 0
         for e in mono:
             key = key * base + e
-        out[key] = coeff.numerator * (den // coeff.denominator)
-    return out, den
+        out[key] = num * scale
+    return out
 
 
 def _convolve(big: dict, small: dict, acc: dict | None = None) -> dict:
@@ -106,9 +127,8 @@ def _convolve(big: dict, small: dict, acc: dict | None = None) -> dict:
     return acc
 
 
-def _unpacked(packed: dict, base: int, n: int, den: int) -> dict:
-    """Term dict of a packed dict over den, zeros dropped: one Fraction per
-    term."""
+def _unpacked(packed: dict, base: int, n: int) -> dict:
+    """{exponent tuple: numerator} of a packed dict, zeros dropped."""
     out: dict = {}
     for key, num in packed.items():
         if not num:
@@ -116,7 +136,7 @@ def _unpacked(packed: dict, base: int, n: int, den: int) -> dict:
         mono = [0] * n
         for i in range(n - 1, -1, -1):
             key, mono[i] = divmod(key, base)
-        out[tuple(mono)] = Fraction(num, den)
+        out[tuple(mono)] = num
     return out
 
 
@@ -186,60 +206,75 @@ def _fold_width(scaled: dict, shared: int, packed: list, deg: int,
     c'_v.
 
     Folding pays when the fibres are long enough to hand C's bigint
-    multiply real work (a result degree of at least 6), the components'
-    terms fill at least half of the slots that their fibres span, from
-    x_n^0 to each fibre's top power, and the slots stay narrow (at most 400
-    bits).  The checks run cheapest first: sparse maps stop before the
-    width's power is taken.
+    multiply real work (a result degree of at least 6), the terms of the
+    components that the outer uses fill at least half of the slots that
+    their fibres span, from x_n^0 to each fibre's top power, and the slots
+    stay narrow (at most 400 bits).  A fibre of one term counts its slots
+    but not its term: multiplying by it only shifts, so folding it gains
+    nothing and its slots only widen the values.  The checks run cheapest
+    first: sparse maps stop before the width's power is taken.
     """
     if deg * inner_deg < 6:
         return 0
+    used = {i for mono in scaled for i, e in enumerate(mono) if e}
     terms = spanned = 0
-    for g in packed:
-        tops: dict = {}
-        for key in g:
+    for i in used:
+        fibres: dict = {}
+        for key in packed[i]:
             head, e = divmod(key, base)
-            if e >= tops.get(head, 0):
-                tops[head] = e + 1
-        terms += len(g)
-        spanned += sum(tops.values())
+            count, top = fibres.get(head, (0, 0))
+            fibres[head] = (count + 1, max(top, e + 1))
+        for count, top in fibres.values():
+            spanned += top
+            if count > 1:
+                terms += count
     if 2 * terms < spanned:
         return 0
     width = _slot_width(sum(map(abs, scaled.values())), shared, packed, deg)
     return width if width <= 400 else 0
 
 
-def mul_terms(a: dict, b: dict) -> dict:
-    """Return the term dict of a * b (schoolbook convolution).
+def mul_ints(a: dict, b: dict) -> dict:
+    """Product of two {exponent tuple: integer} dicts, zeros dropped
+    (schoolbook convolution on plain ints).
 
-    The convolution runs on plain ints, with no Fraction built per
-    multiply-add:
-
-    * Packing: each exponent tuple becomes one int, its digits in base
-      ``deg(a) + deg(b) + 1``.  The base exceeds the product's total degree,
-      hence every exponent of the product, so adding two packed keys never
-      carries from one slot into the next and packed sums are exactly the
-      packed exponent sums.
-    * Shared denominators: each operand is scaled to integer numerators over
-      the LCM of its own denominators, ``da`` and ``db``.  Every coefficient
-      of the product is then an integer sum divided by ``da * db``.
-
-    Keys are unpacked once at the end, zero sums are dropped, and each
-    coefficient is reduced to a canonical Fraction.
+    Each exponent tuple is packed into one int, its digits in base
+    ``deg(a) + deg(b) + 1``.  The base exceeds the product's total degree,
+    hence every exponent of the product, so adding two packed keys never
+    carries from one slot into the next and packed sums are exactly the
+    packed exponent sums.  Keys are unpacked once at the end.  A one-term
+    operand c x^e only scales and shifts the other's terms, so it is
+    applied directly, with no packing.
     """
     if not a or not b:
         return {}
     if len(a) > len(b):  # iterate the smaller operand outside
         a, b = b, a
+    if len(a) == 1:
+        (shift, c), = a.items()
+        if not any(shift):
+            return {mono: num * c for mono, num in b.items()}
+        return {tuple(map(add, mono, shift)): num * c
+                for mono, num in b.items()}
     n = len(next(iter(a)))
     base = _degree(a) + _degree(b) + 1
-    terms_a, da = _packed(a, base)
-    terms_b, db = _packed(b, base)
-    return _unpacked(_convolve(terms_b, terms_a), base, n, da * db)
+    return _unpacked(_convolve(_packed(b, base), _packed(a, base)), base, n)
 
 
-def pow_terms(a: dict, k: int, n: int) -> dict:
-    """Return the term dict of a**k (k >= 0); n is the variable count.
+def mul_terms(a: dict, b: dict) -> dict:
+    """Return the term dict of a * b: ``mul_ints`` of the operands'
+    integer numerators, each over the LCM of its own denominators, and one
+    canonical Fraction per product term, over the product of those LCMs."""
+    if not a or not b:
+        return {}
+    nums_a, da = _numerators(a)
+    nums_b, db = _numerators(b)
+    return terms_over(mul_ints(nums_a, nums_b), da * db)
+
+
+def pow_ints(a: dict, k: int, n: int) -> dict:
+    """a**k (k >= 0) for an {exponent tuple: integer} dict a in n
+    variables.
 
     A one-term operand c x^e gives c**k x^(k e) directly.  Otherwise,
     iterated multiplication beats binary powering here: simplex-dense
@@ -250,18 +285,26 @@ def pow_terms(a: dict, k: int, n: int) -> dict:
     if k < 0:
         raise ValueError("negative exponent")
     if k == 0:
-        return {(0,) * n: Fraction(1)}
+        return {(0,) * n: 1}
     if not a:
         return {}
     if len(a) == 1:
-        (mono, coeff), = a.items()
-        return {tuple(k * e for e in mono): coeff ** k}
+        (mono, num), = a.items()
+        return {tuple(k * e for e in mono): num ** k}
     base = k * _degree(a) + 1
-    terms, den = _packed(a, base)
+    terms = _packed(a, base)
     out = terms
     for _ in range(k - 1):
         out = _convolve(out, terms)
-    return _unpacked(out, base, n, den ** k)
+    return _unpacked(out, base, n)
+
+
+def pow_terms(a: dict, k: int, n: int) -> dict:
+    """Return the term dict of a**k (k >= 0); n is the variable count:
+    ``pow_ints`` of a's integer numerators over den, then one Fraction per
+    term over den**k."""
+    nums, den = _numerators(a)
+    return terms_over(pow_ints(nums, k, n), den ** k)
 
 
 def _trie(monos) -> dict:
@@ -362,10 +405,9 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
     deg = _degree(outer)
     inner_deg = max((_degree(g) for g in components if g), default=0)
     base = deg * max(inner_deg, 1) + 1
-    packs = [_packed(g, base) for g in components]
+    packs = [_numerators(g) for g in components]
     shared = lcm(*[den for _, den in packs])
-    packed = [{key: num * (shared // den) for key, num in terms.items()}
-              for terms, den in packs]
+    packed = [_packed(nums, base, shared // den) for nums, den in packs]
     q = lcm(*[coeff.denominator for coeff in outer.values()])
     shared_pows = [shared ** k for k in range(deg + 1)]
     scaled = {mono: coeff.numerator * (q // coeff.denominator)
@@ -401,7 +443,7 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
         else:
             if width:
                 acc = _unfolded(acc, base, width)
-            return _unpacked(acc, base, n, q * shared_pows[deg])
+            return terms_over(_unpacked(acc, base, n), q * shared_pows[deg])
 
 
 def det_terms(rows: list, n: int) -> dict:
@@ -426,14 +468,14 @@ def det_terms(rows: list, n: int) -> dict:
     """
     base = max(2, 1 + sum(max((_degree(p) for p in row if p), default=0)
                           for row in rows))
-    packs = [[(1 << j, _packed(p, base)) for j, p in enumerate(row) if p]
+    packs = [[(1 << j, _numerators(p)) for j, p in enumerate(row) if p]
              for row in rows]
     den = lcm(*[d for row in packs for _, (_, d) in row])
     packed = []
     for row in packs:
         entries = []
-        for bit, (terms, d) in row:
-            terms = {key: num * (den // d) for key, num in terms.items()}
+        for bit, (nums, d) in row:
+            terms = _packed(nums, base, den // d)
             entries.append((bit, terms,
                             {key: -num for key, num in terms.items()}))
         packed.append(entries)
@@ -453,8 +495,8 @@ def det_terms(rows: list, n: int) -> dict:
             acc = {key: num for key, num in acc.items() if num}
             if acc:
                 minors[mask] = acc
-    return _unpacked(minors.get((1 << len(rows)) - 1, {}), base, n,
-                     den ** len(rows))
+    full = minors.get((1 << len(rows)) - 1, {})
+    return terms_over(_unpacked(full, base, n), den ** len(rows))
 
 
 def segment_moments(monos, start: tuple, end: tuple) -> tuple[dict, int]:

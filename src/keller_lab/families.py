@@ -27,7 +27,6 @@ from keller_lab.poly import (
     as_rational,
     charge_power,
     check_exponent,
-    coordinate_sum,
     univariate_coefficients,
     z_power,
 )
@@ -101,21 +100,33 @@ class ZShiftMap(PolyMap):
         is paid for under the parser's limits (``charge_power``) before any
         is expanded: ExpansionLimitError refuses a table whose powers pass
         MAX_WORK multiply-adds in all, as the parser refuses the same powers
-        in one expression."""
+        in one expression.  Component k then takes, for each such l, the
+        term p_k^(l) * l!/prod(e_i!) of every monomial x^e of z^l, whose
+        integer coefficient z^l holds: one Fraction per term."""
         if self._expanded is None:
             n = self.n
-            z = coordinate_sum(n)
+            units = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
+            z = dict.fromkeys(units, 1)
             columns = [(l, column) for l, column
                        in enumerate(zip(*self.coeffs), 2) if any(column)]
             work = 0
             for l, _ in columns:  # pay for every power before expanding one
-                work = charge_power(work, z, l)
-            comps = [Poly.variable(n, k + 1) for k in range(n)]
+                work = charge_power(work, z, 1, l)
+            comps = [{unit: _ONE} for unit in units]
             for l, column in columns:
-                zp = z_power(n, l)
-                comps = [p + zp * c if c else p
-                         for p, c in zip(comps, column)]
-            self._expanded = tuple(comps)
+                zp = [(mono, c.numerator) for mono, c
+                      in z_power(n, l).terms.items()]
+                for terms, c in zip(comps, column):
+                    if not c:
+                        continue
+                    p, q = c.numerator, c.denominator
+                    if q == 1:
+                        terms.update([(mono, Fraction(p * m))
+                                      for mono, m in zp])
+                    else:
+                        terms.update([(mono, Fraction(p * m, q))
+                                      for mono, m in zp])
+            self._expanded = tuple(Poly._wrap(n, terms) for terms in comps)
         return self._expanded
 
     def column_sums(self) -> tuple[Fraction, ...]:

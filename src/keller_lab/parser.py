@@ -11,10 +11,15 @@ prints ``x1^1000000``.
 
 An expression is read in one pass: after one regex search for a character
 that no token can hold, a recursive descent matches each token at its
-cursor when it needs it.  The expansion limits are ``poly``'s: every
-product and power of a map is charged to one running total of at most
-``poly.MAX_WORK`` multiply-adds, and the step that would take the total
-past it is refused at its token, before any work.  The powers that are
+cursor when it needs it.  Every subexpression is a dict of integer
+numerators over one denominator: sums add numerators over the lcm of their
+denominators, products and powers run the kernel's integer convolution, and
+a finished component builds one Fraction per term.
+
+The expansion limits are ``poly``'s: every product and power of a map is
+charged to one running total of at most ``poly.MAX_WORK`` multiply-adds,
+and the step that would take the total past it is refused at its token,
+before any work.  The powers that are
 terms of a sum are expanded only once the whole sum is read and paid for,
 so a long sum of powers is refused without expanding any of them.
 Coefficients are bounded by Python's limit on the digits of an int printed
@@ -39,8 +44,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, sub
+from math import gcd, lcm
 
+from keller_lab import _purepoly
 from keller_lab.families import (
     RankOneSpec,
     ZShiftMap,
@@ -57,9 +63,6 @@ from keller_lab.poly import (
     check_exponent,
     digit_limit,
 )
-
-_ZERO = Fraction(0)
-
 
 class ParseError(ValueError):
     """Syntax error with a character position (0-based)."""
@@ -102,34 +105,29 @@ def _check_digits(p: Poly) -> None:
         raise ParseError(f"a coefficient is over the {limit}-digit limit", 0)
 
 
-def _expanded(term) -> Poly:
-    """A term's polynomial: a pending power (base, k) is expanded here."""
-    return term if isinstance(term, Poly) else term[0] ** term[1]
-
-
-def _total(terms: list) -> Poly:
-    """Expand the terms of a sum and add them, left to right, into one term
-    dict: adding polynomials would copy the partial sum for every term."""
-    (_, first), *rest = terms
-    first = _expanded(first)
-    if not rest:
-        return first
-    total = first.terms
-    for sign, term in rest:
-        op = add if sign == "+" else sub
-        for mono, coeff in _expanded(term).terms.items():
-            coeff = op(total.get(mono, _ZERO), coeff)
-            if coeff:
-                total[mono] = coeff
-            else:
-                del total[mono]
-    return Poly._wrap(first.n, total)
+def _lowest(nums: dict, den: int) -> tuple[dict, int]:
+    """nums over den with den made coprime to the numerators as a whole, so
+    that den is the lowest common denominator of the coefficients."""
+    if den == 1:
+        return nums, den
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {mono: num // g for mono, num in nums.items()}, den // g
 
 
 class _Parser:
     """Recursive descent; ``tok`` is the current token, ``cursor`` the index
     just past it, and ``work`` the multiply-adds charged so far to the map
-    that the text belongs to."""
+    that the text belongs to.
+
+    A value is a pair (nums, den): a dict {exponent tuple: nonzero integer
+    numerator} over one positive denominator, kept coprime to the numerators
+    as a whole.  A pending power, paid for but not yet expanded, is a triple
+    (nums, den, k): base nums to the power k, over the denominator den, the
+    base's to the power k.  Products and powers run on the kernel's integer
+    convolution (``_purepoly.mul_ints``, ``_purepoly.pow_ints``), and a
+    finished component builds one Fraction per term."""
 
     def __init__(self, text: str, n: int, work: int = 0):
         stray = _STRAY_RE.search(text)
@@ -167,17 +165,46 @@ class _Parser:
         except ExpansionLimitError as exc:
             raise ParseError(str(exc), position) from exc
 
+    def expanded(self, term) -> tuple[dict, int]:
+        """A term's value: a pending power is expanded here."""
+        if len(term) == 2:
+            return term
+        nums, den, k = term
+        return _purepoly.pow_ints(nums, k, self.n), den
+
+    def total(self, terms: list) -> tuple[dict, int]:
+        """Expand the terms of a sum and add them, left to right, into one
+        dict of numerators over the lcm of their denominators: adding
+        polynomials would copy the partial sum for every term."""
+        (_, first), *rest = terms
+        if not rest:
+            return self.expanded(first)
+        den = lcm(*[term[1] for _, term in terms])
+        total: dict = {}
+        get = total.get
+        for sign, term in terms:
+            nums, d = self.expanded(term)
+            scale = den // d if sign == "+" else -(den // d)
+            for mono, num in nums.items():
+                num = get(mono, 0) + num * scale
+                if num:
+                    total[mono] = num
+                else:
+                    del total[mono]
+        return _lowest(total, den)
+
     def parse(self) -> Poly:
         terms = self.expression()
         if self.tok[0]:
             raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
-        value = _total(terms)
+        nums, den = self.total(terms)
+        value = Poly._wrap(self.n, _purepoly.terms_over(nums, den))
         _check_digits(value)
         return value
 
     def expression(self) -> list:
         """A sum as (sign, term) pairs; its powers are paid for but left
-        unexpanded (see ``_total``)."""
+        unexpanded (see ``total``)."""
         terms = [("+", self.term())]
         while self.tok[0] in ("+", "-"):
             terms.append((self.take()[0], self.term()))
@@ -188,19 +215,19 @@ class _Parser:
         while self.tok[0] == "*":
             star = self.take()
             right = self.factor()
-            value, right = _expanded(value), _expanded(right)
-            self.pay(star[2], charge, len(value) * len(right),
-                     f"product of {len(value)} by {len(right)} terms")
-            value = value * right
+            (a, da), (b, db) = self.expanded(value), self.expanded(right)
+            self.pay(star[2], charge, len(a) * len(b),
+                     f"product of {len(a)} by {len(b)} terms")
+            value = _lowest(_purepoly.mul_ints(a, b), da * db)
         return value
 
     def factor(self):
-        """A polynomial, or a pending power (base, k) already paid for."""
+        """A value, or a pending power already paid for."""
         if self.tok[0] == "-":
             self.nest(self.take())
-            value = -_expanded(self.factor())
+            nums, den = self.expanded(self.factor())
             self.depth -= 1
-            return value
+            return {mono: -num for mono, num in nums.items()}, den
         base = self.atom()
         if self.tok[0] != "^":
             return base
@@ -214,14 +241,15 @@ class _Parser:
         digits = text.lstrip("0") or "0"
         k = (int(digits) if len(digits) <= len(str(MAX_EXPONENT))
              else MAX_EXPONENT + 1)
-        self.pay(position, charge_power, base, k)
-        return base, k
+        nums, den = base
+        self.pay(position, charge_power, nums, den, k)
+        return nums, den ** k, k
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple[dict, int]:
         tok = self.take()
         kind, text, position = tok
         if kind == "int":
-            value = Fraction(_literal(tok))
+            num, den = _literal(tok), 1
             # a fraction needs an integer token after the '/'
             if (self.tok[0] == "/"
                     and _TOKEN_RE.match(self.text, self.cursor).group(1)):
@@ -230,10 +258,13 @@ class _Parser:
                 den = _literal(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                value /= den
-            return Poly.const(self.n, value)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            return ({(0,) * self.n: num}, den) if num else ({}, 1)
         if kind == "name":
-            return Poly.variable(self.n, self.variable_index(tok))
+            mono = [0] * self.n
+            mono[self.variable_index(tok) - 1] = 1
+            return {tuple(mono): 1}, 1
         if kind == "(":
             self.nest(tok)
             terms = self.expression()
@@ -243,7 +274,7 @@ class _Parser:
                     f"expected rparen, found {text or 'end of input'!r}",
                     position)
             self.depth -= 1
-            return _total(terms)
+            return self.total(terms)
         raise ParseError(
             f"expected a number, variable or '(', found "
             f"{text or 'end of input'!r}", position)

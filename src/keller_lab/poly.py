@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, lcm, log10
+from math import comb, log10
 from typing import Iterable, Mapping, Sequence
 
 from keller_lab import _kernels
@@ -105,7 +105,7 @@ class Poly:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lexicographic order."""
         return sorted(self._terms.items(),
-                      key=lambda kv: grlex_key(kv[0]), reverse=True)
+                      key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -286,28 +286,29 @@ class Poly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms in descending graded-lex order, as ``-3/2*x1^2*x3 + x2 -
+        1``; each sign and magnitude is read from the coefficient's
+        numerator and denominator."""
         if not self._terms:
             return "0"
+        names = [f"x{i}" for i in range(1, self.n + 1)]
         pieces: list[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+            num, den = coeff.numerator, coeff.denominator
+            sign = " - " if num < 0 else " + "
+            num = abs(num)
+            factors = "*".join([f"{x}^{e}" if e > 1 else x
+                                for x, e in zip(names, mono) if e])
+            if den != 1:
+                mag = f"{num}/{den}"
+            elif num != 1 or not factors:
+                mag = str(num)
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+                pieces += (sign, factors)
+                continue
+            pieces += (sign, f"{mag}*{factors}" if factors else mag)
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"Poly({self.n}, {self})"
@@ -415,29 +416,26 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _power_work(base: Poly, k: int) -> int:
-    """An upper bound on the multiply-adds of ``base ** k``: k - 1 products
-    of base by a partial power, which has no more terms than the multisets
-    of k terms of base or the monomials of degree <= k * deg(base) in the v
-    variables that base uses."""
-    t = len(base)
+def _power_work(nums: dict, k: int) -> int:
+    """An upper bound on the multiply-adds of ``base ** k``, base with the
+    monomials of nums: k - 1 products of base by a partial power, which has
+    no more terms than the multisets of k terms of base or the monomials of
+    degree <= k * deg(base) in the v variables that base uses."""
+    t = len(nums)
     if k < 2 or not t:
         return 0
-    v = sum(map(any, zip(*base._terms)))
-    terms = min(comb(t + k - 1, k), comb(v + k * base.degree(), v))
+    v = sum(map(any, zip(*nums)))
+    terms = min(comb(t + k - 1, k), comb(v + k * max(map(sum, nums)), v))
     return (k - 1) * t * terms
 
 
-def _power_digits(base: Poly, k: int) -> float:
+def _power_digits(nums: dict, den: int, k: int) -> float:
     """log10 of a bound on the numerators and denominators of ``base ** k``.
 
-    With base = (sum a_i m_i) / D over integers a_i, every coefficient of
-    the power has a numerator of at most (sum |a_i|)^k and a denominator
-    dividing D^k."""
-    coeffs = base._terms.values()
-    den = lcm(*[c.denominator for c in coeffs])
-    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
-    return k * log10(max(top, den))
+    With base = (sum a_i m_i) / D over integers a_i (nums and den), every
+    coefficient of the power has a numerator of at most (sum |a_i|)^k and a
+    denominator dividing D^k."""
+    return k * log10(max(sum(map(abs, nums.values())), den))
 
 
 def check_exponent(k: int) -> None:
@@ -460,15 +458,17 @@ def charge(spent: int, work: int, step: str) -> int:
     return spent + work
 
 
-def charge_power(spent: int, base: Poly, k: int) -> int:
-    """spent plus the work of ``base ** k``, refused before any of it when
-    k passes MAX_EXPONENT, the work passes MAX_WORK (see ``charge``), or a
-    bound on the coefficients passes the digit limit."""
+def charge_power(spent: int, nums: dict, den: int, k: int) -> int:
+    """spent plus the work of ``base ** k``, base being the integer
+    numerators nums over den (coprime to the numerators as a whole, as a
+    polynomial's lowest common denominator is); refused before any of it
+    when k passes MAX_EXPONENT, the work passes MAX_WORK (see ``charge``),
+    or a bound on the coefficients passes the digit limit."""
     check_exponent(k)
-    spent = charge(spent, _power_work(base, k),
-                   f"power {k} of {len(base)} terms")
+    spent = charge(spent, _power_work(nums, k),
+                   f"power {k} of {len(nums)} terms")
     limit = digit_limit()
-    if limit and _power_digits(base, k) > limit:
+    if limit and _power_digits(nums, den, k) > limit:
         raise ExpansionLimitError(
             f"power {k} may give coefficients over the {limit}-digit limit")
     return spent
@@ -478,5 +478,5 @@ def z_power(n: int, k: int) -> Poly:
     """(x1+...+xn)^k expanded into the dense monomial basis; refused, by
     ``charge_power``, exactly when the parser refuses ``(x1+...+xn)^k``."""
     z = coordinate_sum(n)
-    charge_power(0, z, k)
+    charge_power(0, dict.fromkeys(z._terms, 1), 1, k)
     return z ** k

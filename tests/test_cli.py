@@ -231,6 +231,20 @@ class TestDigest:
         assert reports[0] == reports[1]
         assert reports[0]["result"]["bound"] == 1
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--map", str(DATA_DIR / "example_map.txt")],
+         "9c0d49b65127dbb39e739356ec48a646dfd6ea3c3ed3bc1e5caccf0946976ecc"),
+        (["--map", str(DATA_DIR / "example_family.txt")],
+         "9c0d49b65127dbb39e739356ec48a646dfd6ea3c3ed3bc1e5caccf0946976ecc"),
+        (["--expr", "x - 3/7*y^2 + 12345678901234567890123/2*x*y^3",
+          "--expr", "-y + 1"],
+         "0e2be46dffd72f5e0774166bbddf14d50aa9edec492501043cde16177967aa52"),
+    ])
+    def test_digests_are_pinned(self, capsys, argv, digest):
+        # the digest hashes the printed components, so any change to how a
+        # map is read or printed shows here
+        assert run_json(capsys, ["keller"] + argv)["input_digest"] == digest
+
     def test_different_maps_differ(self, capsys):
         a = run_json(capsys, ["keller", "--expr", "x + y^2", "--expr", "y"])
         b = run_json(capsys, ["keller", "--expr", "x - y^2", "--expr", "y"])

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keller_lab import _kernels, families
 from keller_lab.families import (
@@ -22,7 +23,7 @@ from keller_lab.families import (
 from keller_lab.jacobian import keller_check
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
-from keller_lab.poly import Poly, PolyMap, univariate_coefficients
+from keller_lab.poly import Poly, PolyMap, univariate_coefficients, z_power
 
 from conftest import (
     random_keller_zshift,
@@ -30,6 +31,17 @@ from conftest import (
     random_rank_one_spec,
     rational,
 )
+
+
+def poly_components(f: ZShiftMap) -> tuple[Poly, ...]:
+    """The expansion as it was, by Poly + and * of z_power on Fractions:
+    the oracle for ZShiftMap.components, which builds each term's Fraction
+    from the integer coefficients of z^l."""
+    comps = [Poly.variable(f.n, k + 1) for k in range(f.n)]
+    for l, column in enumerate(zip(*f.coeffs), 2):
+        zp = z_power(f.n, l)
+        comps = [p + zp * c for p, c in zip(comps, column)]
+    return tuple(comps)
 
 
 class TestRankOneSpec:
@@ -60,6 +72,17 @@ class TestZShiftMap:
         assert f.components[0] == Poly.variable(3, 1) - 11 * z**2 - 13 * z**3
         assert f.components[1] == Poly.variable(3, 2) + 6 * z**2 + 9 * z**3
         assert f.components[2] == Poly.variable(3, 3) + 5 * z**2 + 4 * z**3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.integers(0, 5).flatmap(
+        lambda width: st.lists(st.lists(
+            st.one_of(st.just(Fraction(0)),
+                      st.fractions(-20, 20, max_denominator=9)),
+            min_size=width, max_size=width), min_size=n, max_size=n))))
+    def test_components_match_poly_arithmetic(self, table):
+        # zero columns, n = 1 and m = 1 (no column) included
+        f = ZShiftMap(table)
+        assert f.components == poly_components(f)
 
     def test_trailing_zero_columns_trimmed(self):
         f = ZShiftMap([[1, 0], [-1, 0]])

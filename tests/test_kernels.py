@@ -543,10 +543,9 @@ def parsed_pair(outer, inner):
 # fold x_n; 20-digit coefficients need slots over 400 bits, and three terms
 # spread over 31 slots fill too few, so those keep the plain keys
 FOLD_SIDES = {
-    "shift (2,6)": (True, lambda: round_trips(
-        random_keller_table(random.Random("fold:2,6"), 2, 6))),
-    "shift (4,3)": (True, lambda: round_trips(
-        random_keller_table(random.Random("fold:4,3"), 4, 3))),
+    **{f"shift ({n},{m})": (True, lambda n=n, m=m: round_trips(
+        random_keller_table(random.Random(f"fold:{n},{m}"), n, m)))
+       for n, m in ((2, 3), (2, 6), (3, 3), (4, 3))},
     "20-digit table": (False, lambda: round_trips(
         digit_table(random.Random("fold:20"), 2, 3, 20))),
     "sparse degree 30": (False, lambda: parsed_pair(
@@ -636,6 +635,22 @@ class TestFoldedCompose:
                 assert got == substitute(component, inner, n)
                 # a folding call folds each of its n components once
                 assert len(fold_calls) == (n if folds else 0)
+
+    @pytest.mark.parametrize("outer, components, want", [
+        # y^38 under (a 1000-term sum in x, y^1000): the dense component is
+        # unused, and the one-term fibre of y^1000 spans 1001 slots
+        ({(0, 38): Fraction(1)},
+         [{(k, 0): Fraction(1) for k in range(1000)},
+          {(0, 1000): Fraction(1)}], {(0, 38000): Fraction(1)}),
+        # x^30000 under -x: every step would multiply a longer int
+        ({(30000,): Fraction(1)}, [{(1,): Fraction(-1)}],
+         {(30000,): Fraction(1)}),
+    ])
+    def test_unused_and_one_term_fibres_keep_the_plain_keys(
+            self, outer, components, want, fold_calls):
+        n = len(components)
+        assert _purepoly.compose_terms(outer, components, n) == want
+        assert fold_calls == []
 
     @settings(deadline=None)
     @given(case=compose_cases)

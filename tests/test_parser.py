@@ -285,6 +285,113 @@ def test_fuzz_parse_map_returns_a_map_or_a_parse_error(source):
         assert parse_map([str(c) for c in f.components]) == f
 
 
+# -- the Fraction oracle ----------------------------------------------------
+#
+# The parser runs on integer numerators over one denominator.  The oracle
+# below evaluates the same expression trees on Fraction term dicts, one
+# multiply-add per pair of terms, as the parser did before.
+
+def oracle_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + sign * coeff
+    return {mono: c for mono, c in out.items() if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, Fraction(0)) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+ORACLE_N = 3
+ONE = (0,) * ORACLE_N
+# a node is (text, precedence, term dict): 0 a sum, 1 a product, 2 a unary
+# minus or a power, 3 an atom
+LITERALS = st.one_of(
+    st.integers(0, 12),
+    st.integers(10 ** 29, 10 ** 30 - 1),
+    st.integers(-(10 ** 30), 10 ** 30),
+).map(abs)
+
+
+@st.composite
+def oracle_leaves(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "variable", "0^0"]))
+    if kind == "variable":
+        i = draw(st.integers(0, ORACLE_N - 1))
+        mono = tuple(int(j == i) for j in range(ORACLE_N))
+        return f"x{i + 1}", 3, {mono: Fraction(1)}
+    if kind == "0^0":
+        return "0^0", 2, {ONE: Fraction(1)}
+    num = draw(LITERALS)
+    text, value = str(num), Fraction(num)
+    if kind == "fraction":
+        den = draw(st.one_of(st.integers(1, 12), LITERALS.filter(bool)))
+        text, value = f"{num}/{den}", Fraction(num, den)
+    return text, 3, {ONE: value} if value else {}
+
+
+def wrap(node, precedence: int, draw) -> str:
+    """The node's text, parenthesized where the grammar needs it, and at
+    random where it does not."""
+    text, own, _ = node
+    if own < precedence or draw(st.integers(0, 5)) == 0:
+        return f"({text})"
+    return text
+
+
+@st.composite
+def oracle_nodes(draw, depth: int = 4):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(oracle_leaves())
+    op = draw(st.sampled_from(["+", "-", "*", "neg", "^", "cancel"]))
+    a = draw(oracle_nodes(depth - 1))
+    if op == "neg":
+        return ("-" + wrap(a, 2, draw), 2,
+                {mono: -c for mono, c in a[2].items()})
+    if op == "^":
+        k = draw(st.integers(0, 3))
+        value = {ONE: Fraction(1)}
+        for _ in range(k):
+            value = oracle_mul(value, a[2])
+        return f"{wrap(a, 3, draw)}^{k}", 2, value
+    if op == "cancel":  # a term that cancels to zero
+        return f"{wrap(a, 0, draw)} - {wrap(a, 1, draw)}", 0, {}
+    b = draw(oracle_nodes(depth - 1))
+    if op == "*":
+        return (f"{wrap(a, 1, draw)}*{wrap(b, 2, draw)}", 1,
+                oracle_mul(a[2], b[2]))
+    sign = 1 if op == "+" else -1
+    return (f"{wrap(a, 0, draw)} {op} {wrap(b, 1, draw)}", 0,
+            oracle_add(a[2], b[2], sign))
+
+
+class TestFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(node=oracle_nodes())
+    def test_parser_matches_fraction_arithmetic(self, node):
+        text, _, want = node
+        assert parse_poly(text, ORACLE_N) == Poly(ORACLE_N, want), text
+
+    @pytest.mark.parametrize("text, want", [
+        ("0^0", 1), ("(x1 - x1)^0", 1), ("(x1 + 1)^0*3", 3), ("0^3", 0),
+        ("2*3/4*(-5)", Fraction(-15, 2)), ("1/2 + 1/2 - 1", 0),
+        ("-(-(2/6))", Fraction(1, 3)),
+    ])
+    def test_constants(self, text, want):
+        assert parse_poly(text, 2) == Poly.const(2, want)
+
+    def test_thirty_digit_literals(self):
+        big, den = 10 ** 29 + 7, 3 * 10 ** 29
+        p = parse_poly(f"{big}/{den}*x1^2 - {big}*x2 + 1/{den}", 2)
+        assert p == Poly(2, {(2, 0): Fraction(big, den), (0, 1): -big,
+                             (0, 0): Fraction(1, den)})
+
+
 class TestRoundTrip:
     def test_canonical_string_reparses(self):
         p = parse_poly("(x1 - x2)^3 + 1/3*x2", 2)

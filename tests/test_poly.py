@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keller_lab import _kernels, cli
+from keller_lab import _purepoly, cli
 from keller_lab.families import ZShiftMap
 from keller_lab.parser import ParseError, parse_map, parse_map_file, parse_poly
 from keller_lab.poly import (
@@ -217,6 +217,46 @@ class TestPrinting:
     def test_zero_prints_as_zero(self):
         assert str(Poly.zero(2)) == "0"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.builds(
+        Poly, st.just(n), st.dictionaries(
+            st.tuples(*[st.sampled_from([0, 0, 1, 2, 13])] * n),
+            st.one_of(st.sampled_from([1, -1, 0]),
+                      st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                                st.integers(1, 10 ** 40))),
+            max_size=8))))
+    def test_printing_matches_fraction_arithmetic(self, p):
+        assert str(p) == fraction_str(p)
+
+
+def fraction_str(p: Poly) -> str:
+    """The printer as it was, on Fraction abs and comparisons: the oracle
+    for Poly.__str__, which reads signs and magnitudes from the
+    coefficients' numerators and denominators."""
+    if p.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for mono, coeff in p.sorted_terms():
+        factors = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                factors.append(f"x{i + 1}")
+            elif e > 1:
+                factors.append(f"x{i + 1}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces)
+
 
 class TestPolyMap:
     def test_identity(self):
@@ -275,15 +315,16 @@ def zshift_file(tmp_path, n, m, row):
 
 @pytest.fixture
 def pow_calls(monkeypatch):
-    """Record every call of the power kernel, which returns {} instead of
-    expanding: a test then sees which powers a rule lets through."""
+    """Record every call of the integer power kernel, which the parser and
+    ``pow_terms`` both run, and which returns {} instead of expanding: a
+    test then sees which powers a rule lets through."""
     calls = []
 
     def stub(terms, k, n):
         calls.append((len(terms), k, n))
         return {}
 
-    monkeypatch.setattr(_kernels, "pow_terms", stub)
+    monkeypatch.setattr(_purepoly, "pow_ints", stub)
     return calls
 
 
