@@ -209,9 +209,9 @@ def _fold_width(scaled: dict, shared: int, packed: list, deg: int,
     multiply real work (a result degree of at least 6), the terms of the
     components that the outer uses fill at least half of the slots that
     their fibres span, from x_n^0 to each fibre's top power, and the slots
-    stay narrow (at most 400 bits).  A fibre of one term counts its slots
-    but not its term: multiplying by it only shifts, so folding it gains
-    nothing and its slots only widen the values.  The checks run cheapest
+    stay narrow (at most 400 bits).  A one-term component counts its slots
+    but not its term: multiplying by it only shifts the other factor, so it
+    gives C's multiply no fibre product to do.  The checks run cheapest
     first: sparse maps stop before the width's power is taken.
     """
     if deg * inner_deg < 6:
@@ -219,15 +219,14 @@ def _fold_width(scaled: dict, shared: int, packed: list, deg: int,
     used = {i for mono in scaled for i, e in enumerate(mono) if e}
     terms = spanned = 0
     for i in used:
-        fibres: dict = {}
+        tops: dict = {}
         for key in packed[i]:
             head, e = divmod(key, base)
-            count, top = fibres.get(head, (0, 0))
-            fibres[head] = (count + 1, max(top, e + 1))
-        for count, top in fibres.values():
-            spanned += top
-            if count > 1:
-                terms += count
+            if e >= tops.get(head, 0):
+                tops[head] = e + 1
+        if len(packed[i]) > 1:
+            terms += len(packed[i])
+        spanned += sum(tops.values())
     if 2 * terms < spanned:
         return 0
     width = _slot_width(sum(map(abs, scaled.values())), shared, packed, deg)

@@ -546,6 +546,10 @@ FOLD_SIDES = {
     **{f"shift ({n},{m})": (True, lambda n=n, m=m: round_trips(
         random_keller_table(random.Random(f"fold:{n},{m}"), n, m)))
        for n, m in ((2, 3), (2, 6), (3, 3), (4, 3))},
+    # z^3 alone is homogeneous, so each of its x_n-fibres holds one term,
+    # but x_k + c*z^3 is dense in products: it folds
+    "shift (4,3), z^3 alone": (True, lambda: round_trips(
+        [(0, 2), (0, -1), (0, Fraction(1, 3)), (0, Fraction(-4, 3))])),
     "20-digit table": (False, lambda: round_trips(
         digit_table(random.Random("fold:20"), 2, 3, 20))),
     "sparse degree 30": (False, lambda: parsed_pair(
@@ -638,7 +642,7 @@ class TestFoldedCompose:
 
     @pytest.mark.parametrize("outer, components, want", [
         # y^38 under (a 1000-term sum in x, y^1000): the dense component is
-        # unused, and the one-term fibre of y^1000 spans 1001 slots
+        # unused, and y^1000 is one term spanning 1001 slots
         ({(0, 38): Fraction(1)},
          [{(k, 0): Fraction(1) for k in range(1000)},
           {(0, 1000): Fraction(1)}], {(0, 38000): Fraction(1)}),
@@ -646,7 +650,7 @@ class TestFoldedCompose:
         ({(30000,): Fraction(1)}, [{(1,): Fraction(-1)}],
          {(30000,): Fraction(1)}),
     ])
-    def test_unused_and_one_term_fibres_keep_the_plain_keys(
+    def test_unused_and_one_term_components_keep_the_plain_keys(
             self, outer, components, want, fold_calls):
         n = len(components)
         assert _purepoly.compose_terms(outer, components, n) == want
