@@ -80,15 +80,20 @@ def _degree(a: dict) -> int:
     return max(sum(mono) for mono in a)
 
 
-def _numerators(a: dict) -> tuple[dict, int]:
-    """{exponent tuple: integer numerator} over a's LCM denominator."""
+def _numerators(a: dict, den: int) -> dict:
+    """{exponent tuple: integer numerator} of a over den, a multiple of
+    each of a's denominators."""
+    return {mono: coeff.numerator * (den // coeff.denominator)
+            for mono, coeff in a.items()}
+
+
+def _denominator(a: dict) -> int:
+    """The LCM of a's denominators."""
     # lcm gets a list, never a generator: unpacking a generator into a call
     # builds its argument tuple by resizing, and every call then leaves one
     # more tuple on the interpreter's tuple free list, so memory crept up
     # with each compose
-    den = lcm(*[coeff.denominator for coeff in a.values()])
-    return {mono: coeff.numerator * (den // coeff.denominator)
-            for mono, coeff in a.items()}, den
+    return lcm(*[coeff.denominator for coeff in a.values()])
 
 
 def terms_over(nums: dict, den: int) -> dict:
@@ -99,14 +104,14 @@ def terms_over(nums: dict, den: int) -> dict:
     return {mono: Fraction(num, den) for mono, num in nums.items()}
 
 
-def _packed(nums: dict, base: int, scale: int = 1) -> dict:
-    """{packed exponent: numerator * scale} of an integer-numerator dict."""
+def _packed(nums: dict, base: int) -> dict:
+    """{packed exponent: numerator} of an integer-numerator dict."""
     out = {}
     for mono, num in nums.items():
         key = 0
         for e in mono:
             key = key * base + e
-        out[key] = num * scale
+        out[key] = num
     return out
 
 
@@ -216,16 +221,17 @@ def _fold_width(scaled: dict, shared: int, packed: list, deg: int,
     """
     if deg * inner_deg < 6:
         return 0
-    used = {i for mono in scaled for i, e in enumerate(mono) if e}
     terms = spanned = 0
-    for i in used:
+    for g, exponents in zip(packed, zip(*scaled)):
+        if not any(exponents):  # a component the outer never uses
+            continue
         tops: dict = {}
-        for key in packed[i]:
+        for key in g:
             head, e = divmod(key, base)
             if e >= tops.get(head, 0):
                 tops[head] = e + 1
-        if len(packed[i]) > 1:
-            terms += len(packed[i])
+        if len(g) > 1:
+            terms += len(g)
         spanned += sum(tops.values())
     if 2 * terms < spanned:
         return 0
@@ -266,9 +272,9 @@ def mul_terms(a: dict, b: dict) -> dict:
     canonical Fraction per product term, over the product of those LCMs."""
     if not a or not b:
         return {}
-    nums_a, da = _numerators(a)
-    nums_b, db = _numerators(b)
-    return terms_over(mul_ints(nums_a, nums_b), da * db)
+    da, db = _denominator(a), _denominator(b)
+    return terms_over(mul_ints(_numerators(a, da), _numerators(b, db)),
+                      da * db)
 
 
 def pow_ints(a: dict, k: int, n: int) -> dict:
@@ -302,8 +308,8 @@ def pow_terms(a: dict, k: int, n: int) -> dict:
     """Return the term dict of a**k (k >= 0); n is the variable count:
     ``pow_ints`` of a's integer numerators over den, then one Fraction per
     term over den**k."""
-    nums, den = _numerators(a)
-    return terms_over(pow_ints(nums, k, n), den ** k)
+    den = _denominator(a)
+    return terms_over(pow_ints(_numerators(a, den), k, n), den ** k)
 
 
 def _trie(monos) -> dict:
@@ -404,9 +410,8 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
     deg = _degree(outer)
     inner_deg = max((_degree(g) for g in components if g), default=0)
     base = deg * max(inner_deg, 1) + 1
-    packs = [_numerators(g) for g in components]
-    shared = lcm(*[den for _, den in packs])
-    packed = [_packed(nums, base, shared // den) for nums, den in packs]
+    shared = lcm(*[c.denominator for g in components for c in g.values()])
+    packed = [_packed(_numerators(g, shared), base) for g in components]
     q = lcm(*[coeff.denominator for coeff in outer.values()])
     shared_pows = [shared ** k for k in range(deg + 1)]
     scaled = {mono: coeff.numerator * (q // coeff.denominator)
@@ -467,16 +472,16 @@ def det_terms(rows: list, n: int) -> dict:
     """
     base = max(2, 1 + sum(max((_degree(p) for p in row if p), default=0)
                           for row in rows))
-    packs = [[(1 << j, _numerators(p)) for j, p in enumerate(row) if p]
-             for row in rows]
-    den = lcm(*[d for row in packs for _, (_, d) in row])
+    den = lcm(*[c.denominator for row in rows for p in row
+                for c in p.values()])
     packed = []
-    for row in packs:
+    for row in rows:
         entries = []
-        for bit, (nums, d) in row:
-            terms = _packed(nums, base, den // d)
-            entries.append((bit, terms,
-                            {key: -num for key, num in terms.items()}))
+        for j, p in enumerate(row):
+            if p:
+                terms = _packed(_numerators(p, den), base)
+                entries.append((1 << j, terms,
+                                {key: -num for key, num in terms.items()}))
         packed.append(entries)
 
     minors = {bit: terms for bit, terms, _ in packed[-1]}
