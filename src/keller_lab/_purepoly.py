@@ -394,8 +394,9 @@ def compose_terms(outer: dict, components: list, n: int) -> dict:
       their slots, since x_n -> 2**w is a ring map.  ``_fold_width``
       decides from the inputs alone: it folds when the result degree
       ``deg * deg(inner)`` is at least 6, w is at most 400 bits and the
-      components' terms fill at least half of the slots their fibres
-      span; sparse fibres and wide coefficients keep the plain keys.
+      terms of the components that the outer uses fill at least half of
+      the slots their fibres span; sparse fibres and wide coefficients
+      keep the plain keys.
     * The trie is walked in post-order with an explicit stack of (node
       accumulator, children left, edge factor) frames, so a degree-1500
       chain does not recurse.  A finished child's sum is convolved with its

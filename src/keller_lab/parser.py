@@ -19,11 +19,11 @@ a finished component builds one Fraction per term.
 The expansion limits are ``poly``'s: every product and power of a map is
 charged to one running total of at most ``poly.MAX_WORK`` multiply-adds,
 and the step that would take the total past it is refused at its token,
-before any work.  The powers that are
-terms of a sum are expanded only once the whole sum is read and paid for,
-so a long sum of powers is refused without expanding any of them.
-Coefficients are bounded by Python's limit on the digits of an int printed
-as text (``poly.digit_limit``): a power is refused when a bound on its
+before any work.  The powers that are terms of a sum are expanded only
+once the whole sum is read and paid for, so a long sum of powers is
+refused without expanding any of them.  Coefficients are bounded by
+Python's limit on the digits of an int printed as text
+(``poly.digit_limit``): a power is refused when a bound on its
 coefficients passes the limit, and a parsed polynomial when any coefficient
 does.  Family files obey the same exponent, work and digit limits.
 
