@@ -101,8 +101,11 @@ class ZShiftMap(PolyMap):
         is expanded: ExpansionLimitError refuses a table whose powers pass
         MAX_WORK multiply-adds in all, as the parser refuses the same powers
         in one expression.  Component k then takes, for each such l, the
-        term p_k^(l) * l!/prod(e_i!) of every monomial x^e of z^l, whose
-        integer coefficient z^l holds: one Fraction per term."""
+        term p_k^(l) * l!/prod(e_i!) of every monomial x^e of z^l, in z^l's
+        term order, from the integer coefficients that z^l holds.  z^l has
+        few distinct multinomial coefficients, so each component builds one
+        Fraction per distinct value of each degree and its terms share it
+        (a Fraction is immutable)."""
         if self._expanded is None:
             n = self.n
             units = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
@@ -116,16 +119,11 @@ class ZShiftMap(PolyMap):
             for l, column in columns:
                 zp = [(mono, c.numerator) for mono, c
                       in z_power(n, l).terms.items()]
+                multinomials = {m for _, m in zp}
                 for terms, c in zip(comps, column):
-                    if not c:
-                        continue
-                    p, q = c.numerator, c.denominator
-                    if q == 1:
-                        terms.update([(mono, Fraction(p * m))
-                                      for mono, m in zp])
-                    else:
-                        terms.update([(mono, Fraction(p * m, q))
-                                      for mono, m in zp])
+                    if c:
+                        value = {m: c * m for m in multinomials}
+                        terms.update([(mono, value[m]) for mono, m in zp])
             self._expanded = tuple(Poly._wrap(n, terms) for terms in comps)
         return self._expanded
 

@@ -234,7 +234,11 @@ def test_criterion_7_segment_matrix_unit_determinant():
                 x2 = random_point(rng, n)
                 if x1 == x2:
                     continue
-                assert segment_matrix(f, x1, x2).det() == 1
+                # the moments path over the expansion, and the table's
+                # closed form
+                moments = segment_matrix(PolyMap(f.components), x1, x2)
+                assert moments.det() == 1
+                assert moments == segment_matrix(f, x1, x2)
                 pairs += 1
 
     run_criterion(7, "100 random segment-averaged Jacobians of zero-sum "

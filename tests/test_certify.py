@@ -35,9 +35,10 @@ from keller_lab.families import RankOneSpec
 from keller_lab.jacobian import jacobian_matrix
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
-from keller_lab.poly import Poly, PolyMap
+from keller_lab.poly import ExpansionLimitError, Poly, PolyMap
 
-from conftest import random_keller_zshift, random_point
+from conftest import (
+    random_keller_table, random_keller_zshift, random_point, rational)
 
 
 UNIT_BOX = ConvexDomain.box([(-1, 1), (-1, 1)])
@@ -237,6 +238,118 @@ class TestSegmentMatrix:
             assert segment_matrix(f, x1, x2).det() == 1
 
 
+def free_table(rng, n, m):
+    """An n-row table for degrees 2..m with a nonzero column sum, if any
+    column: not a Keller table."""
+    rows = [[rational(rng) for _ in range(m - 1)] for _ in range(n)]
+    if m > 1 and not any(map(sum, zip(*rows))):
+        rows[0][-1] += 1
+    return rows
+
+
+def sum_image(f, z):
+    """s(z) = z + sum_l (column sum_l) z^l, the image of z = x1+...+xn."""
+    return z + sum((s * z ** l for l, s in enumerate(f.column_sums(), 2)),
+                   Fraction(0))
+
+
+def sum_image_slope(f, z):
+    """s'(z)."""
+    return 1 + sum((l * s * z ** (l - 1)
+                    for l, s in enumerate(f.column_sums(), 2)), Fraction(0))
+
+
+def equal_sum_end(rng, a):
+    """A point other than a with the same coordinate sum (n >= 2)."""
+    shift = rational(rng, 5) or Fraction(1)
+    i, j = rng.sample(range(len(a)), 2)
+    b = list(a)
+    b[i] += shift
+    b[j] -= shift
+    return tuple(b)
+
+
+class TestZShiftClosedForm:
+    """segment_matrix of a ZShiftMap is I + 1 c^T from its table; the oracle
+    is the moments path over its expanded components."""
+
+    def check(self, f, a, b):
+        closed = segment_matrix(f, a, b)
+        moments = certify._segment_matrix(PolyMap(f.components), a, b)
+        for i in range(f.n):
+            for j in range(f.n):
+                assert closed[i, j] == moments[i, j], (f, a, b, i, j)
+        z1, z2 = sum(a, Fraction(0)), sum(b, Fraction(0))
+        assert closed.det() == (
+            sum_image_slope(f, z1) if z1 == z2
+            else (sum_image(f, z2) - sum_image(f, z1)) / (z2 - z1))
+        return closed
+
+    @pytest.mark.parametrize("keller", [True, False],
+                             ids=["keller", "non-keller"])
+    def test_matches_the_moments_path(self, keller):
+        rng = random.Random(25 + keller)
+        for n in range(1, 7):
+            for m in range(1, 8):
+                f = ZShiftMap(random_keller_table(rng, n, m) if keller
+                              else free_table(rng, n, m))
+                assert f.is_keller_family() == keller or f.m == 1
+                for _ in range(2):
+                    a, b = random_point(rng, n), random_point(rng, n)
+                    if a != b:
+                        self.check(f, a, b)
+                    if n > 1:
+                        self.check(f, a, equal_sum_end(rng, a))
+
+    def test_equal_coordinate_sums(self):
+        # z1 = z2: every weight is l z1^(l-1)
+        f = ZShiftMap([[1, Fraction(-2, 3)], [Fraction(5, 7), 4], [0, 1]])
+        a = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+        b = (Fraction(-1, 2), Fraction(2, 3), Fraction(2))
+        closed = self.check(f, a, b)
+        z = sum(a)
+        c = [p2 * 2 * z + p3 * 3 * z ** 2 for p2, p3 in f.coeffs]
+        assert closed == RatMatrix(
+            [[c[j] + (i == j) for j in range(3)] for i in range(3)])
+        # both sums zero: only the identity is left
+        zero = (Fraction(1), Fraction(-1), Fraction(0))
+        assert self.check(f, zero, (0, 0, 0)) == RatMatrix.identity(3)
+
+    def test_identity_table(self):
+        rng = random.Random(8)
+        for n in range(1, 5):
+            f = ZShiftMap([[]] * n)
+            a, b = random_point(rng, n), random_point(rng, n)
+            if a != b:
+                assert self.check(f, a, b) == RatMatrix.identity(n)
+
+    def test_a_map_past_the_work_limit_reads_no_expansion(self, monkeypatch):
+        # degrees 11 and 12 in 9 variables: f.components is refused
+        table = [[0] * 9 + [1, 1], [0] * 9 + [-1, -1]] + [[0] * 11] * 7
+        f = ZShiftMap(table)
+        segments = forbid_jacobians(monkeypatch)
+        a = tuple(Fraction(k + 1, 3) for k in range(9))
+        b = tuple(Fraction(-k, 5) for k in range(9))
+        closed = segment_matrix(f, a, b)
+        assert segments == []
+        assert closed.det() == 1
+        # mean-value identity: f(b) - f(a) = A^T (b - a)
+        delta = tuple(q - p for p, q in zip(a, b))
+        assert RatMatrix(list(zip(*closed.data))).apply(delta) == tuple(
+            v - u for u, v in zip(f.eval(a), f.eval(b)))
+        with pytest.raises(ExpansionLimitError):
+            f.components
+
+    def test_inputs_are_checked_first(self):
+        f = ZShiftMap([[1], [-1]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            segment_matrix(f, (0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError, match="must differ"):
+            segment_matrix(f, (1, 2), (1, 2))
+        with pytest.raises(TypeError):
+            segment_matrix(f, (0.5, 0), (1, 1))
+
+
 class TestSamplingCertifier:
     def test_witness_on_symmetric_fold(self):
         f = parse_map(["x^2", "y"])
@@ -368,6 +481,14 @@ class TestSymbolicZshiftCertifier:
         f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
         cert = certify_injective_zshift(f)
         assert cert.evidence["spot_pairs_checked"] == 2
+
+    def test_spot_pairs_compare_every_entry_with_the_table(self):
+        # components of another Keller table: each spot matrix still has
+        # determinant 1, but it is not the table's closed form
+        f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
+        f._expanded = keller_zshift_map([[1, 2], [-1, 0], [0, -2]]).components
+        with pytest.raises(AssertionError, match="left the closed form"):
+            certify_injective_zshift(f)
 
 
 class TestIntervalJacobianCertifier:

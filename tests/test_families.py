@@ -82,7 +82,29 @@ class TestZShiftMap:
     def test_components_match_poly_arithmetic(self, table):
         # zero columns, n = 1 and m = 1 (no column) included
         f = ZShiftMap(table)
-        assert f.components == poly_components(f)
+        oracle = poly_components(f)
+        assert f.components == oracle
+        # in z_power's term order, degree by degree
+        for comp, want in zip(f.components, oracle):
+            assert list(comp.terms) == list(want.terms)
+        # equal coefficients of one degree are one Fraction
+        for comp in f.components:
+            shared = {}
+            for mono, c in comp.terms.items():
+                assert shared.setdefault((sum(mono), c), c) is c
+
+    def test_each_distinct_value_is_built_once(self):
+        f = ZShiftMap([[Fraction(2, 3), 5, -1], [Fraction(-2, 3), 0, 1],
+                       [0, -5, 0]])
+        for comp, row in zip(f.components, f.coeffs):
+            for l, c in enumerate(row, 2):
+                values = [v for mono, v in comp.terms.items()
+                          if sum(mono) == l]
+                # z^2, z^3, z^4 in 3 variables: multinomials {1, 2},
+                # {1, 3, 6} and {1, 4, 6, 12}
+                assert len(set(map(id, values))) == (l if c else 0)
+                assert sorted(set(values)) == sorted(
+                    {c * m for m in z_power(3, l).terms.values()} - {0})
 
     def test_trailing_zero_columns_trimmed(self):
         f = ZShiftMap([[1, 0], [-1, 0]])
