@@ -122,7 +122,8 @@ class ZShiftMap(PolyMap):
                 multinomials = {m for _, m in zp}
                 for terms, c in zip(comps, column):
                     if c:
-                        value = {m: c * m for m in multinomials}
+                        p, q = c.numerator, c.denominator
+                        value = {m: Fraction(p * m, q) for m in multinomials}
                         terms.update([(mono, value[m]) for mono, m in zp])
             self._expanded = tuple(Poly._wrap(n, terms) for terms in comps)
         return self._expanded
