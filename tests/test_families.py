@@ -35,8 +35,8 @@ from conftest import (
 
 def poly_components(f: ZShiftMap) -> tuple[Poly, ...]:
     """The expansion as it was, by Poly + and * of z_power on Fractions:
-    the oracle for ZShiftMap.components, which builds each term's Fraction
-    from the integer coefficients of z^l."""
+    the oracle for ZShiftMap.components, which builds one Fraction per
+    distinct value from the integer coefficients of z^l."""
     comps = [Poly.variable(f.n, k + 1) for k in range(f.n)]
     for l, column in enumerate(zip(*f.coeffs), 2):
         zp = z_power(f.n, l)
