@@ -293,12 +293,6 @@ def segment_matrix(f: PolyMap, x1: Sequence, x2: Sequence) -> RatMatrix:
     return _segment_matrix(f, a, b)
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> tuple[int, int]:
-    """(u, v) with sum(xs) = u / v, v the lcm of the denominators."""
-    v = lcm(*[x.denominator for x in xs])
-    return sum(x.numerator * (v // x.denominator) for x in xs), v
-
-
 def _zshift_segment_matrix(f: ZShiftMap, a: Point, b: Point) -> RatMatrix:
     """segment_matrix of a z-shift map from its coefficient table.
 
@@ -306,34 +300,27 @@ def _zshift_segment_matrix(f: ZShiftMap, a: Point, b: Point) -> RatMatrix:
     along the segment z runs from z1 = sum(a) to z2 = sum(b), so
     a_ij = delta_ij + c_j with c_j = sum_l p_j^(l) w_l and
     w_l = (z2^l - z1^l) / (z2 - z1) = sum_{k<l} z1^k z2^(l-1-k), which is
-    l z1^(l-1) when z1 = z2.  With z1 = u1/v1 and z2 = u2/v2, the integer
-    W_l = w_l (v1 v2)^(l-1) satisfies W_1 = 1 and
-    W_l = u2 v1 W_(l-1) + (u1 v2)^(l-1), so each c_j is one integer sum
-    over its row's lcm denominator times (v1 v2)^(m-1) and one Fraction.
+    l z1^(l-1) when z1 = z2.  With z1 = u1/v1, z2 = u2/v2 and d = v1 v2,
+    the integer W_l = w_l d^(l-1) satisfies W_1 = 1 and
+    W_l = u2 v1 W_(l-1) + (u1 v2)^(l-1), so each c_j is one integer sum,
+    Horner in d, over its row's lcm denominator times d^(m-1).
     Neither the expanded components nor the kernel is read.
     """
-    (u1, v1), (u2, v2) = _over_lcm(a), _over_lcm(b)
-    s, t, d = u1 * v2, u2 * v1, v1 * v2
-    w, s_power, scaled = 1, 1, []
-    for _ in range(f.m - 1):
+    z1, z2 = sum(a), sum(b)
+    s, t = z1.numerator * z2.denominator, z2.numerator * z1.denominator
+    d = z1.denominator * z2.denominator
+    weights, w, s_power = [], 1, 1
+    for _ in range(f.m - 1):  # W_l for l = 2..m
         s_power *= s
         w = t * w + s_power
-        scaled.append(w)
-    # scaled[l - 2] = W_l d^(m-l), every degree over d_power = d^(m-1)
-    d_power = 1
-    for idx in reversed(range(len(scaled))):
-        scaled[idx] *= d_power
-        d_power *= d
-    c, c_plus_one = [], []
+        weights.append(w)
+    c = []
     for row in f.coeffs:
-        q = lcm(*[p.denominator for p in row])
-        num = sum(p.numerator * (q // p.denominator) * w
-                  for p, w in zip(row, scaled) if p)
-        den = q * d_power
-        c.append(Fraction(num, den))
-        c_plus_one.append(Fraction(num + den, den))
-    return RatMatrix([c[:i] + [c_plus_one[i]] + c[i + 1:]
-                      for i in range(f.n)])
+        q, num = lcm(*[p.denominator for p in row]), 0
+        for p, w in zip(row, weights):
+            num = num * d + p.numerator * (q // p.denominator) * w
+        c.append(Fraction(num, q * d ** (f.m - 1)))
+    return RatMatrix([c[:i] + [c[i] + 1] + c[i + 1:] for i in range(f.n)])
 
 
 def _segment_matrix(f: PolyMap, a: Point, b: Point) -> RatMatrix:

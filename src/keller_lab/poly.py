@@ -420,13 +420,10 @@ def _power_work(nums: dict, k: int) -> int:
     """An upper bound on the multiply-adds of ``base ** k``, base with the
     monomials of nums: k - 1 products of base by a partial power, which has
     no more terms than the multisets of k terms of base or the monomials of
-    degree <= k * deg(base) in the v variables that base uses; a one-term
-    base has one-term powers, so its bound is k - 1."""
+    degree <= k * deg(base) in the v variables that base uses."""
     t = len(nums)
     if k < 2 or not t:
         return 0
-    if t == 1:
-        return k - 1
     v = sum(map(any, zip(*nums)))
     terms = min(comb(t + k - 1, k), comb(v + k * max(map(sum, nums)), v))
     return (k - 1) * t * terms
@@ -437,9 +434,8 @@ def _power_digits(nums: dict, den: int, k: int) -> float:
 
     With base = (sum a_i m_i) / D over integers a_i (nums and den), every
     coefficient of the power has a numerator of at most (sum |a_i|)^k and a
-    denominator dividing D^k; a bound of 1 gives 0, with no log10 taken."""
-    bound = max(sum(map(abs, nums.values())), den)
-    return k * log10(bound) if bound > 1 else 0
+    denominator dividing D^k."""
+    return k * log10(max(sum(map(abs, nums.values())), den))
 
 
 def check_exponent(k: int) -> None:

@@ -247,6 +247,14 @@ def free_table(rng, n, m):
     return rows
 
 
+def zero_sum_table(n, m):
+    """An n-row table with every degree 2..m nonzero and zero column sums."""
+    rows = [[Fraction((k + 1) * (l % 7 + 1), l) for l in range(2, m + 1)]
+            for k in range(n - 1)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    return rows
+
+
 def sum_image(f, z):
     """s(z) = z + sum_l (column sum_l) z^l, the image of z = x1+...+xn."""
     return z + sum((s * z ** l for l, s in enumerate(f.column_sums(), 2)),
@@ -323,14 +331,21 @@ class TestZShiftClosedForm:
             if a != b:
                 assert self.check(f, a, b) == RatMatrix.identity(n)
 
-    def test_a_map_past_the_work_limit_reads_no_expansion(self, monkeypatch):
-        # degrees 11 and 12 in 9 variables: f.components is refused
-        table = [[0] * 9 + [1, 1], [0] * 9 + [-1, -1]] + [[0] * 11] * 7
+    @pytest.mark.parametrize("table", [
+        # degrees 11 and 12 in 9 variables, just past the limit
+        [[0] * 9 + [1, 1], [0] * 9 + [-1, -1]] + [[0] * 11] * 7,
+        # every degree up to 40 in 20 variables, far past it
+        zero_sum_table(20, 40),
+    ], ids=["(9,12)", "(20,40)"])
+    def test_a_map_past_the_work_limit_reads_no_expansion(self, monkeypatch,
+                                                          table):
         f = ZShiftMap(table)
         segments = forbid_jacobians(monkeypatch)
-        a = tuple(Fraction(k + 1, 3) for k in range(9))
-        b = tuple(Fraction(-k, 5) for k in range(9))
+        a = tuple(Fraction(k + 1, 3) for k in range(f.n))
+        b = tuple(Fraction(-k, 5) for k in range(f.n))
+        start = time.process_time()
         closed = segment_matrix(f, a, b)
+        assert time.process_time() - start < 1
         assert segments == []
         assert closed.det() == 1
         # mean-value identity: f(b) - f(a) = A^T (b - a)

@@ -3,13 +3,12 @@
 import json
 import time
 from fractions import Fraction
-from math import comb, log10
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keller_lab import _purepoly, cli, poly
+from keller_lab import _purepoly, cli
 from keller_lab.families import ZShiftMap
 from keller_lab.parser import ParseError, parse_map, parse_map_file, parse_poly
 from keller_lab.poly import (
@@ -456,45 +455,6 @@ class TestExpansionGuard:
         assert captured.err == (f"error: exponent exceeds the limit of "
                                 f"{MAX_EXPONENT} (at position 0)\n")
         assert elapsed < 1
-
-    @pytest.mark.parametrize("spent, nums, den", [
-        (0, {(7, 0, 0): 1}, 1),
-        (0, {(0, 0): 1}, 1),
-        (0, {(2, 3): -5}, 3),
-        (0, {(1,): 10 ** 10}, 1),        # digits pass the limit at k = 431
-        (0, {(1,): 1}, 10 ** 5),         # and at k = 861
-        (MAX_WORK - 500, {(1, 1): 1}, 1),  # work passes it at k = 502
-        (0, {(1, 0): 1, (0, 1): 1}, 1),
-        (0, {(2, 0): 3, (0, 1): -1, (0, 0): 1}, 2),
-    ], ids=["x1^k", "one", "fraction", "big-numerator", "big-denominator",
-            "near-the-work-limit", "x+y", "three-terms"])
-    def test_charge_power_matches_the_binomial_bound(self, spent, nums, den):
-        for k in range(MAX_EXPONENT + 2):
-            outcomes = []
-            for charge in (poly.charge_power, binomial_charge_power):
-                try:
-                    outcomes.append(charge(spent, nums, den, k))
-                except ExpansionLimitError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], k
-
-
-def binomial_charge_power(spent, nums, den, k):
-    """charge_power by its general bounds for every base: k - 1 products of
-    t terms by at most min(C(t+k-1, k), C(v + k deg, v)) terms, and
-    coefficients of at most k log10(max(sum |a_i|, D)) digits."""
-    poly.check_exponent(k)
-    t, work = len(nums), 0
-    if k >= 2 and t:
-        v = sum(map(any, zip(*nums)))
-        work = (k - 1) * t * min(comb(t + k - 1, k),
-                                 comb(v + k * max(map(sum, nums)), v))
-    spent = poly.charge(spent, work, f"power {k} of {t} terms")
-    limit = poly.digit_limit()
-    if limit and k * log10(max(sum(map(abs, nums.values())), den)) > limit:
-        raise ExpansionLimitError(
-            f"power {k} may give coefficients over the {limit}-digit limit")
-    return spent
 
 
 small_rationals = st.fractions(
