@@ -3,9 +3,10 @@
 The central tool is the segment-averaged Jacobian: for X1 != X2 the matrix
 with entries a_ij = integral over [0,1] of (d f_j / d x_i)(X1 + t(X2-X1))
 satisfies f(X2) - f(X1) = A^T (X2 - X1), so f is injective on a convex
-domain whenever every such matrix is nonsingular.  The integral is linear
-in f, so the entries come from segment moments, the exact integrals of the
-map's monomials along the segment (one kernel call per segment), with no
+domain whenever every such matrix is nonsingular.  Every such matrix comes
+from one entry, segment_matrix.  The integral is linear in f, so the
+entries come from segment moments, the exact integrals of the map's
+monomials along the segment (one kernel call per segment), with no
 Jacobian built; except a z-shift map's, which is I + 1 c^T from its table,
 c_j = sum_l p_j^(l) (z2^l - z1^l) / (z2 - z1) for the coordinate sums z1
 and z2 of the endpoints, with no expansion read.
@@ -64,6 +65,10 @@ BAD_RESOLUTION = "grid resolution must be at least 1"
 # cells in one grid, angles in one shear scan, and trials in one sampling
 # run; the 4-D default grid 32 has exactly this many cells
 MAX_GRID = 1 << 20
+
+# variables the interval Jacobian certificate takes: over 4, n^2
+# enclosures on a default grid take minutes
+MAX_INTERVAL_N = 4
 
 # lattice points sample_point draws before it calls a domain empty, and
 # exact rotations the shear scan retries on each side of its best angle
@@ -279,9 +284,16 @@ def _enclose(p: Poly, domain: ConvexDomain, cells: LatticeCells,
 # -- segment-averaged Jacobian criterion -------------------------------------
 
 def segment_matrix(f: PolyMap, x1: Sequence, x2: Sequence) -> RatMatrix:
-    """Entries a_ij = exact integral of (d f_j / d x_i) along [X1, X2]:
-    for a z-shift map I + 1 c^T from its table (_zshift_segment_matrix),
-    for any other map from segment moments (_segment_matrix)."""
+    """Entries a_ij = exact integral of (d f_j / d x_i) along [X1, X2].
+
+    The package's only way to build a segment matrix: for a z-shift map it
+    is I + 1 c^T from the table (_zshift_segment_matrix), for any other map
+    it comes from the segment moments of the monomials.  The integral is
+    linear in f: with M(e) the integral of x^e along the segment and c_j(e)
+    the coefficient of x^e in f_j, a_ij = sum_e c_j(e) * e_i * M(e - e_i).
+    One segment_moments call gives every M over one shared unit, so each
+    entry is one integer sum over f_j's LCM denominator and one Fraction.
+    """
     a = tuple(as_rational(c) for c in x1)
     b = tuple(as_rational(c) for c in x2)
     if len(a) != f.n or len(b) != f.n:
@@ -290,7 +302,29 @@ def segment_matrix(f: PolyMap, x1: Sequence, x2: Sequence) -> RatMatrix:
         raise ValueError("segment endpoints must differ")
     if isinstance(f, ZShiftMap):
         return _zshift_segment_matrix(f, a, b)
-    return _segment_matrix(f, a, b)
+    comps = [comp.terms for comp in f.components]
+    # (i, e_i, e - e_i) per distinct monomial: family maps share them all
+    lowered: dict = {}
+    for terms in comps:
+        for mono in terms:
+            if mono not in lowered:
+                lowered[mono] = [(i, e, mono[:i] + (e - 1,) + mono[i + 1:])
+                                 for i, e in enumerate(mono) if e]
+    moments, unit = _kernels.segment_moments(
+        {low for lows in lowered.values() for _, _, low in lows}, a, b)
+    # d x^e / d x_i integrates to e_i * M(e - e_i) / unit
+    weights = {mono: [(i, e * moments[low]) for i, e, low in lows]
+               for mono, lows in lowered.items()}
+    columns = []
+    for terms in comps:
+        q = lcm(*[c.denominator for c in terms.values()])
+        sums = [0] * f.n
+        for mono, c in terms.items():
+            num = c.numerator * (q // c.denominator)
+            for i, w in weights[mono]:
+                sums[i] += num * w
+        columns.append([Fraction(s, q * unit) for s in sums])
+    return RatMatrix(list(zip(*columns)))
 
 
 def _zshift_segment_matrix(f: ZShiftMap, a: Point, b: Point) -> RatMatrix:
@@ -323,52 +357,18 @@ def _zshift_segment_matrix(f: ZShiftMap, a: Point, b: Point) -> RatMatrix:
     return RatMatrix([c[:i] + [c[i] + 1] + c[i + 1:] for i in range(f.n)])
 
 
-def _segment_matrix(f: PolyMap, a: Point, b: Point) -> RatMatrix:
-    """segment_matrix of f from the segment moments of its monomials.
-
-    a and b are distinct rational points of the map's dimension.  The
-    integral is linear in f: with M(e) the integral of x^e along the
-    segment and c_j(e) the coefficient of x^e in f_j,
-    a_ij = sum_e c_j(e) * e_i * M(e - e_i).  One segment_moments call gives
-    every M over one shared unit, so each entry is one integer sum over
-    f_j's LCM denominator and one Fraction.
-    """
-    comps = [comp.terms for comp in f.components]
-    # (i, e_i, e - e_i) per distinct monomial: family maps share them all
-    lowered: dict = {}
-    for terms in comps:
-        for mono in terms:
-            if mono not in lowered:
-                lowered[mono] = [(i, e, mono[:i] + (e - 1,) + mono[i + 1:])
-                                 for i, e in enumerate(mono) if e]
-    moments, unit = _kernels.segment_moments(
-        {low for lows in lowered.values() for _, _, low in lows}, a, b)
-    # d x^e / d x_i integrates to e_i * M(e - e_i) / unit
-    weights = {mono: [(i, e * moments[low]) for i, e, low in lows]
-               for mono, lows in lowered.items()}
-    columns = []
-    for terms in comps:
-        q = lcm(*[c.denominator for c in terms.values()])
-        sums = [0] * f.n
-        for mono, c in terms.items():
-            num = c.numerator * (q // c.denominator)
-            for i, w in weights[mono]:
-                sums[i] += num * w
-        columns.append([Fraction(s, q * unit) for s in sums])
-    return RatMatrix(list(zip(*columns)))
-
-
 def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
                                trials: int, seed: int,
                                denom_bits: int = 4) -> Certificate:
     """Search random pairs for an exact value collision.
 
-    A pair with f(X1) = f(X2) is a failure witness; its segment matrix
-    determinant (necessarily zero) is re-verified before emission.  A
-    singular pair whose values still separate is not a counterexample,
-    so it only lowers the min |det| statistic.  Anything short of a
-    collision is inconclusive: sampling cannot prove a condition
-    quantified over all pairs.
+    Each pair's segment matrix (segment_matrix, so a z-shift map takes
+    its table's closed form) gives a determinant first; only a singular
+    pair has its values compared.  Equal values make a failure witness,
+    whose determinant is that zero.  A singular pair whose values still
+    separate is not a counterexample, so it only lowers the min |det|
+    statistic.  Anything short of a collision is inconclusive: sampling
+    cannot prove a condition quantified over all pairs.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -377,7 +377,6 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
     rng = random.Random(seed)
-    f.components  # a family map expands here, before any pair is sampled
     min_abs: Fraction | None = None
     for tested in range(1, trials + 1):
         x1 = sample_point(domain, rng, denom_bits)
@@ -388,7 +387,7 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
             if retries > 100:
                 raise ValueError("domain too small to sample distinct pairs")
             x2 = sample_point(domain, rng, denom_bits)
-        det = _segment_matrix(f, x1, x2).det()
+        det = segment_matrix(f, x1, x2).det()
         if det == 0:
             v1, v2 = f.eval(x1), f.eval(x2)
             if v1 == v2:
@@ -417,8 +416,9 @@ def certify_injective_zshift(f: ZShiftMap) -> Certificate:
     integral of the identically-zero column-sum polynomial, so every
     determinant is exactly 1.  The closed-form determinant is recomputed
     and, as a self-check, a few spot pairs are integrated from the expanded
-    components (_segment_matrix): each matrix must equal the table's closed
-    form entry by entry and have determinant 1.
+    components, segment_matrix of PolyMap(f.components): each matrix must
+    equal segment_matrix(f), the table's closed form, entry by entry and
+    have determinant 1.
     """
     if not isinstance(f, ZShiftMap):
         raise ValueError("this certificate applies to z-shift maps")
@@ -432,8 +432,8 @@ def certify_injective_zshift(f: ZShiftMap) -> Certificate:
         for shift in (1, 2):
             x1 = tuple(Fraction(k + shift, 3) for k in range(f.n))
             x2 = tuple(Fraction(-k - 2 * shift, 5) for k in range(f.n))
-            moments = _segment_matrix(f, x1, x2)
-            if moments != _zshift_segment_matrix(f, x1, x2):
+            moments = segment_matrix(PolyMap(f.components), x1, x2)
+            if moments != segment_matrix(f, x1, x2):
                 raise AssertionError("segment matrix left the closed form")
             if moments.det() != 1:
                 raise AssertionError("segment determinant left the identity")
@@ -511,9 +511,9 @@ def certify_injective_interval_jacobian(f: PolyMap, domain: ConvexDomain,
     """
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
-    # over 4 variables, n^2 enclosures on a default grid take minutes
-    if f.n > 4:
-        raise ValueError("the interval Jacobian certificate takes n <= 4")
+    if f.n > MAX_INTERVAL_N:
+        raise ValueError("the interval Jacobian certificate takes "
+                         f"n <= {MAX_INTERVAL_N}")
     cells, halves = grid_cells(domain, resolution)
     jm = jacobian_matrix(f)
     # column by column: past the digit limit, the first refused entry
@@ -847,7 +847,7 @@ def pvalent_bound(f: PolyMap, pieces: Sequence[ConvexDomain],
     for piece in pieces:
         if family is not None:
             cert = family
-        elif f.n <= 4:
+        elif f.n <= MAX_INTERVAL_N:
             cert = certify_injective_interval_jacobian(f, piece, resolution)
             if cert.status != PROVEN:
                 fallback = certify_injective_sampling(

@@ -283,7 +283,7 @@ class TestZShiftClosedForm:
 
     def check(self, f, a, b):
         closed = segment_matrix(f, a, b)
-        moments = certify._segment_matrix(PolyMap(f.components), a, b)
+        moments = segment_matrix(PolyMap(f.components), a, b)
         for i in range(f.n):
             for j in range(f.n):
                 assert closed[i, j] == moments[i, j], (f, a, b, i, j)
@@ -455,6 +455,83 @@ class TestNoJacobianPerCall:
         assert len(segments) == 2
         certify_injective_zshift(f)
         assert segments[2:] == segments[:2]
+
+
+def count_segment_matrices(monkeypatch) -> list:
+    """Record the map of every call to certify.segment_matrix."""
+    calls = []
+    real = certify.segment_matrix
+
+    def counting(f, x1, x2):
+        calls.append(f)
+        return real(f, x1, x2)
+
+    monkeypatch.setattr(certify, "segment_matrix", counting)
+    return calls
+
+
+class TestOneSegmentEntry:
+    """Every segment matrix the certifiers build comes from segment_matrix."""
+
+    @pytest.mark.parametrize("f", [
+        parse_map(["x + y^2", "y"]),
+        keller_zshift_map([[2, -1], [-2, 1]]),
+    ], ids=["expression", "zshift"])
+    def test_sampling_calls_the_entry_once_per_pair(self, monkeypatch, f):
+        calls = count_segment_matrices(monkeypatch)
+        cert = certify_injective_sampling(f, UNIT_BOX, trials=12, seed=9)
+        assert cert.evidence["pairs_tested"] == 12
+        assert calls == [f] * 12
+
+    def test_spot_pairs_call_the_entry_twice_each(self, monkeypatch):
+        f = keller_zshift_map([[-11, -13], [6, 9], [5, 4]])
+        calls = count_segment_matrices(monkeypatch)
+        assert certify_injective_zshift(f).evidence[
+            "spot_pairs_checked"] == 2
+        assert [type(g) for g in calls] == [PolyMap, ZShiftMap] * 2
+        assert all(g == PolyMap(f.components) for g in calls)
+
+    @pytest.mark.parametrize("keller", [True, False],
+                             ids=["keller", "non-keller"])
+    def test_sampling_a_shift_map_reads_its_table(self, monkeypatch, keller):
+        rng = random.Random(26 + keller)
+        for n in range(2, 6):
+            for m in (2, 3, 5):
+                f = ZShiftMap(random_keller_table(rng, n, m) if keller
+                              else free_table(rng, n, m))
+                box = ConvexDomain.box([(-1, 1)] * n)
+                oracle = certify_injective_sampling(
+                    PolyMap(f.components), box, trials=10, seed=n * m)
+                with monkeypatch.context() as patch:
+                    segments = forbid_jacobians(patch)
+                    cert = certify_injective_sampling(
+                        f, box, trials=10, seed=n * m)
+                assert segments == []
+                assert (cert.status, cert.evidence) == (
+                    oracle.status, oracle.evidence), (f, n * m)
+
+    def test_a_shift_map_witness_matches_its_expansion(self, monkeypatch):
+        # (x + z^2, y) folds where x1 + x2 + 2y = -1
+        f = ZShiftMap([[1], [0]])
+        oracle = certify_injective_sampling(
+            PolyMap(f.components), UNIT_BOX, trials=200, seed=4)
+        segments = forbid_jacobians(monkeypatch)
+        cert = certify_injective_sampling(f, UNIT_BOX, trials=200, seed=4)
+        assert segments == []
+        assert cert.status == oracle.status == WITNESS
+        assert cert.evidence == oracle.evidence
+        x1, x2 = cert.evidence["pair"]
+        assert f.eval(x1) == f.eval(x2)
+
+    def test_sampling_past_the_work_limit_reads_no_expansion(self):
+        f = ZShiftMap(zero_sum_table(20, 40))
+        box = ConvexDomain.box([(-1, 1)] * f.n)
+        cert = certify_injective_sampling(f, box, trials=5, seed=3)
+        assert cert.status == INCONCLUSIVE
+        assert cert.evidence["min_abs_det"] == 1
+        assert cert.evidence["pairs_tested"] == 5
+        with pytest.raises(ExpansionLimitError):
+            f.components
 
 
 class TestSymbolicZshiftCertifier:
