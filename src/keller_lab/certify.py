@@ -21,11 +21,13 @@ Three certifier flavours, in decreasing strength:
     from one complex Horner table (_derivative_table) and widen it by
     second-derivative bounds instead.  The grid is an integer lattice:
     every cell centre is X/unit for an integer point X and one integer
-    unit per grid, so the cell tests, the polynomial values and the shear
-    scan run on ints, and a Fraction is built only for a bound or margin
-    that is reported.  A grid, and a shear scan's angle list, holds at
-    most MAX_GRID points, pair sampling runs at most MAX_GRID trials, and
-    no lattice scale unit^degree passes the digit limit.
+    unit per grid, built axis by axis with whole prefixes dropped or
+    taken, and every shear angle is a Pythagorean triple, so the cell
+    tests, the polynomial values and the shear scan run on ints, and a
+    Fraction is built only for a bound, angle or margin that is reported.
+    A grid, and a shear scan's angle list, holds at most MAX_GRID points,
+    pair sampling runs at most MAX_GRID trials, and no lattice scale
+    unit^degree passes the digit limit.
     The interval Jacobian encloses each distinct partial once and takes
     the determinant of the Interval matrix by cofactor expansion;
   * randomized pair sampling can only find failure witnesses or report
@@ -42,7 +44,8 @@ import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log10
+from math import isqrt, lcm, log10
+from operator import add, le
 
 from keller_lab import _kernels
 from keller_lab.families import ZShiftMap
@@ -226,8 +229,11 @@ def grid_cells(domain: ConvexDomain, resolution: int
     Lipschitz slack.  With unit = 2 * resolution * (the lcm of the domain's
     denominators), the centre of cell k on the axis [lo, hi] is
     (lo * unit + (2k + 1) * H) / unit with H = (hi - lo) * unit /
-    (2 * resolution), so the whole grid is built on ints.  A grid with no
-    cell meeting the domain is an error.
+    (2 * resolution), so the whole grid is built on ints, axis by axis in
+    product order: a prefix is dropped when a test fails with the least the
+    remaining axes can add, and takes every completion at once when all pass
+    with the most, so a box (no test) is one product.  A grid with no cell
+    meeting the domain is an error.
     """
     check_grid(resolution, domain.n)
     dens = [x.denominator for bound in domain.bounds for x in bound]
@@ -240,11 +246,30 @@ def grid_cells(domain: ConvexDomain, resolution: int
     axes = [[_scaled(lo, unit) + (2 * k + 1) * h for k in range(resolution)]
             for (lo, _), h in zip(domain.bounds, halves)]
     tests = _cell_tests(domain, unit, axes, halves)
+    # per axis i: each index's terms across the tests, and the caps on the
+    # sums over axes < i for some (low) or every (high) completion to pass
+    rows = [list(zip(*column)) for column in zip(*[t for t, _ in tests])]
+    low, high = ([[limit - sum(map(extreme, terms[i:]))
+                   for terms, limit in tests]
+                  for i in range(domain.n + 1)] for extreme in (min, max))
     points = []
-    for index in itertools.product(range(resolution), repeat=domain.n):
-        if all(sum(axis[k] for axis, k in zip(terms, index)) <= limit
-               for terms, limit in tests):
-            points.append(tuple(xs[k] for xs, k in zip(axes, index)))
+
+    def complete(prefix: tuple, sums: list[int]) -> None:
+        """Add the cells that start with prefix, whose tests sum to sums."""
+        i = len(prefix)
+        if all(map(le, sums, high[i])):
+            points.extend(itertools.product(*zip(prefix), *axes[i:]))
+            return
+        caps = [c - s for c, s in zip(low[i + 1], sums)]
+        fits = [(x, row) for x, row in zip(axes[i], rows[i])
+                if all(map(le, row, caps))]
+        if i + 1 == domain.n:
+            points.extend(prefix + (x,) for x, _ in fits)
+        else:
+            for x, row in fits:
+                complete(prefix + (x,), list(map(add, sums, row)))
+
+    complete((), [0] * len(tests))
     if not points:
         raise ValueError("grid produced no cells meeting the domain")
     return (LatticeCells(unit, points),
@@ -571,23 +596,31 @@ def _derivative_table(coeffs, cells: LatticeCells
 
 def _second_derivative_part_bounds(coeffs, bounds
                                    ) -> tuple[Fraction, Fraction]:
-    """abs_bound_on_box of Re f''(x+iy) and of Im f''(x+iy), in closed form.
+    """Bounds on |Re f''(x+iy)| and |Im f''(x+iy)| over the box.
 
-    At the radii r1, r2 the terms C(k, j) x^(k-j) (iy)^j of (x+iy)^k sum to
+    Each is abs_bound_on_box of the part, in closed form, capped by
+    |f''| <= sum (|re_k| + |im_k|) rho^k for rho >= |z| = sqrt(r1^2 + r2^2)
+    (rho and its powers rounded up over 2^32, so no denominator grows).  At
+    the radii the terms C(k, j) x^(k-j) (iy)^j of (x+iy)^k sum to
     ((r1+r2)^k + (r1-r2)^k) / 2 over even j and to the difference over odd
     j.  Re f'' takes re_k on the even terms and im_k on the odd ones, Im f''
     the other way round, and no two terms share a monomial.
     """
     r1, r2 = (max(abs(lo), abs(hi)) for lo, hi in bounds)
-    b_re = b_im = _ZERO
-    plus = minus = _ONE
+    d = lcm(r1.denominator, r2.denominator)
+    rho = isqrt((_scaled(r1, d) ** 2 + _scaled(r2, d) ** 2) << 64) // d + 1
+    b_re = b_im = disk = _ZERO
+    plus, minus, power = _ONE, _ONE, 1 << 32
     for re, im in _cderivative(_cderivative(coeffs)):
         even, odd = (plus + minus) / 2, (plus - minus) / 2
         b_re += abs(re) * even + abs(im) * odd
         b_im += abs(im) * even + abs(re) * odd
+        disk += (abs(re) + abs(im)) * power
         plus *= r1 + r2
         minus *= r1 - r2
-    return b_re, b_im
+        power = -(-power * rho >> 32)
+    disk /= 1 << 32
+    return min(b_re, disk), min(b_im, disk)
 
 
 def analytic_pair_check(coeffs: Sequence[tuple], domain: ConvexDomain,
@@ -671,52 +704,58 @@ def _disk_cells(inp: PlanarShearInput, resolution: int):
     return cells, slack
 
 
-def _half_angle_unit(t: Fraction) -> tuple[Fraction, Fraction]:
-    """The rational unit vector ((1-t^2) + 2ti)/(1+t^2)."""
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
+Triple = tuple[int, int, int]
 
 
-def unit_gamma_grid(steps: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """Rational unit vectors covering the circle; nested when steps double.
+def _half_angle_triple(p: int, q: int) -> Triple:
+    """(A, B, E) with A^2 + B^2 = E^2: the unit vector (A + Bi)/E is
+    ((1-t^2) + 2ti)/(1+t^2) at t = p/q."""
+    return q * q - p * p, 2 * p * q, q * q + p * p
 
-    One quadrant comes from the tangent-half-angle map
-    t -> ((1-t^2) + 2ti)/(1+t^2) on t in (-1, 1]; the rest are its
-    rotations by i, -1, -i.  steps is checked at the call, and each angle
-    is built only when the scan asks for it.
+
+def _unit(gamma: Triple) -> tuple[Fraction, Fraction]:
+    return Fraction(gamma[0], gamma[2]), Fraction(gamma[1], gamma[2])
+
+
+def unit_gamma_grid(steps: int) -> Iterator[Triple]:
+    """Rational unit vectors covering the circle, as Pythagorean triples
+    (A, B, E) for (A + Bi)/E; nested when steps double.
+
+    The tangent-half-angle map t -> ((1-t^2) + 2ti)/(1+t^2) on t = p/q in
+    (-1, 1] gives a half-turn, (q^2 - p^2, 2pq, q^2 + p^2); each comes with
+    its rotations by i, -1, -i, so most angles come twice.  steps is
+    checked at the call, and each angle is built only when the scan asks
+    for it.
     """
     if steps < 1:
         raise ValueError("at least one angle is required")
     if steps > MAX_GRID:
         raise ValueError(f"{steps} angles are over the cap of {MAX_GRID}")
     quarter = max(1, (steps + 3) // 4)
-    units = (_half_angle_unit(Fraction(-1) + Fraction(2 * (k + 1), quarter))
+    units = (_half_angle_triple(2 * (k + 1) - quarter, quarter)
              for k in range(quarter))
-    return (gamma for ur, ui in units
-            for gamma in ((ur, ui), (-ui, ur), (-ur, -ui), (ui, -ur)))
+    return (gamma for a, b, e in units
+            for gamma in ((a, b, e), (-b, a, e), (-a, -b, e), (b, -a, e)))
 
 
-def _cleared_terms(gamma: tuple[Fraction, Fraction], slack: Fraction,
+def _cleared_terms(gamma: Triple, slack: Fraction,
                    den: int) -> tuple[int, int, int, int]:
     """(a, b, s, k) with Re(gamma * h') - slack = (a*re - b*im - s) / k at
     a cell whose h' is (re + i*im) / den."""
-    ur, ui = gamma
-    q = lcm(ur.denominator, ui.denominator)
+    ur, ui, e = gamma
     sn, sd = slack.numerator, slack.denominator
-    return (_scaled(ur, q) * sd, _scaled(ui, q) * sd, sn * q * den,
-            q * den * sd)
+    return ur * sd, ui * sd, sn * e * den, e * den * sd
 
 
 def _scan_gamma(table, h_den: int, g_den: int, slack: Fraction,
-                gamma: tuple[Fraction, Fraction]
-                ) -> tuple[bool, Fraction | None, Fraction | None]:
-    """(passed, min squared margin, worst score) for one rotation.
+                gamma: Triple) -> tuple[bool, int, int]:
+    """(passed, num, den) for one rotation: num / den is the min squared
+    margin if it passed, else the quantity that went nonpositive first.
 
     table rows are (Re h', Im h', |g'|^2) as integers over h_den, h_den and
-    g_den^2.  The score ranks failing rotations so refinement can target
-    the most promising one; it is the quantity that went nonpositive first.
-    Cleared values are over k, squared margins over (k * g_den)^2, so every
-    test runs on ints and a Fraction is built only for the result.
+    g_den^2.  The failing score ranks rotations so refinement can target
+    the most promising one.  Cleared values are over k, squared margins
+    over (k * g_den)^2, so every test runs on ints.
     """
     a, b, s, k = _cleared_terms(gamma, slack, h_den)
     g_sq, k_sq = g_den * g_den, k * k
@@ -724,26 +763,24 @@ def _scan_gamma(table, h_den: int, g_den: int, slack: Fraction,
     for hre, him, g in table:
         cleared = a * hre - b * him - s
         if cleared <= 0:
-            return False, None, Fraction(cleared, k)
+            return False, cleared, k
         margin = cleared * cleared * g_sq - g * k_sq
         if margin <= 0:
-            return False, None, Fraction(margin, k_sq * g_sq)
+            return False, margin, k_sq * g_sq
         if least is None or margin < least:
             least = margin
-    min_margin = Fraction(least, k_sq * g_sq)
-    return True, min_margin, min_margin
+    return True, least, k_sq * g_sq
 
 
-def _rotations_near(gamma: tuple[Fraction, Fraction], steps: int
-                    ) -> list[tuple[Fraction, Fraction]]:
+def _rotations_near(gamma: Triple, steps: int) -> list[Triple]:
     """Exact unit vectors bracketing one angle at sub-grid spacing."""
-    ur, ui = gamma
+    ur, ui, e = gamma
     out = []
     for j in range(-NEAR_ROTATIONS, NEAR_ROTATIONS + 1):
         if j == 0:
             continue
-        cr, ci = _half_angle_unit(Fraction(j, 2 * steps))
-        out.append((ur * cr - ui * ci, ur * ci + ui * cr))
+        cr, ci, f = _half_angle_triple(j, 2 * steps)
+        out.append((ur * cr - ui * ci, ur * ci + ui * cr, e * f))
     return out
 
 
@@ -765,8 +802,8 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
              for (hre, him), (gre, gim) in zip(h_table, g_table)]
     slack = slack_of(inp.h) + slack_of(inp.g)
     grid = unit_gamma_grid(gamma_steps)
-    best: tuple[Fraction, Fraction] | None = None
-    best_score: Fraction | None = None
+    best: Triple | None = None
+    best_num, best_den = 0, 0
 
     def angles():
         yield from grid
@@ -775,24 +812,25 @@ def planar_shear_check(inp: PlanarShearInput, resolution: int = 16,
             yield from _rotations_near(best, max(gamma_steps, 4))
 
     tried = 0
-    for ur, ui in angles():
+    for gamma in angles():
         tried += 1
-        passed, min_margin, score = _scan_gamma(table, h_den, g_den, slack,
-                                                (ur, ui))
+        passed, num, den = _scan_gamma(table, h_den, g_den, slack, gamma)
         if passed:
             return Certificate(PROVEN, "planar-shear", {
-                "gamma": (ur, ui),
-                "min_squared_margin": min_margin,
+                "gamma": _unit(gamma),
+                "min_squared_margin": Fraction(num, den),
                 "cells": len(cells),
                 "slack": slack,
                 "angles_tried": tried,
             })
-        if best_score is None or (score is not None and score > best_score):
-            best, best_score = (ur, ui), score
+        if best is None or num * best_den > best_num * den:
+            best, best_num, best_den = gamma, num, den
     return Certificate(INCONCLUSIVE, "planar-shear", {
         "angles_tried": tried,
         "cells": len(cells),
         "slack": slack,
+        "best_gamma": _unit(best),
+        "best_score": Fraction(best_num, best_den),
     })
 
 
@@ -802,8 +840,10 @@ def shear_margin_grid(inp: PlanarShearInput, resolution: int,
     """Rows (x, y, Re(gamma*h'(z)) - slack of h') for plotting one angle."""
     cells, slack_of = _disk_cells(inp, resolution)
     table, den = _derivative_table(inp.h, cells)
-    a, b, s, k = _cleared_terms(
-        (as_rational(gamma[0]), as_rational(gamma[1])), slack_of(inp.h), den)
+    ur, ui = (as_rational(x) for x in gamma)
+    e = lcm(ur.denominator, ui.denominator)
+    a, b, s, k = _cleared_terms((_scaled(ur, e), _scaled(ui, e), e),
+                                slack_of(inp.h), den)
     unit = cells.unit
     return [(Fraction(x, unit), Fraction(y, unit),
              Fraction(a * hre - b * him - s, k))

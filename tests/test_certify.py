@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -718,7 +719,39 @@ class TestAnalyticPairCheck:
         start = time.process_time()
         cert = analytic_pair_check(coeffs, ConvexDomain.box([half, half]))
         assert time.process_time() - start < 2
-        assert cert.status == INCONCLUSIVE
+        # |z| <= sqrt(1/2) on the box, so Re f' >= 1 - 0.012
+        assert cert.status == PROVEN
+
+    def test_degree_80_slack_reads_the_box_as_a_disk(self):
+        # the corner radii alone give (r1 + r2)^k = 1 and u_x in
+        # [-1.67, 3.67]; |z| <= sqrt(1/2) gives a range within 1 +- 0.006
+        coeffs = [(0, 0), (1, 0)] + [(Fraction(1, 1000), 0)] * 79
+        half = (Fraction(-1, 2), Fraction(1, 2))
+        cert = analytic_pair_check(coeffs, ConvexDomain.box([half, half]))
+        assert cert.status == PROVEN
+        lo, hi = cert.evidence["range"]
+        assert Fraction(9966, 10000) < lo < 1 < hi < Fraction(10053, 10000)
+
+    @pytest.mark.parametrize("coeffs, bounds", [
+        ([(0, 0), (1, 0)] + [(Fraction(1, 1000), 0)] * 79,
+         [(Fraction(-1, 2), Fraction(1, 2))] * 2),
+        ([(1, 2), (0, 0), (Fraction(-3, 7), Fraction(2, 5)), (1, -1),
+          (Fraction(1, 3), 0)], [(Fraction(1, 3), 2), (-1, Fraction(1, 9))]),
+        ([(0, 0), (0, 0), (0, 0), (2, 1)], [(0, 0), (0, 0)]),
+        ([(0, 0), (0, 0), (0, 0), (0, 0), (1, 1)], [(-3, 1), (0, 0)]),
+    ])
+    def test_part_bounds_hold_on_the_box(self, coeffs, bounds):
+        # |Re f''| and |Im f''| at the corners, and at points inside, stay
+        # within the bounds
+        pairs = [(Fraction(re), Fraction(im)) for re, im in coeffs]
+        b_re, b_im = certify._second_derivative_part_bounds(pairs, [
+            (Fraction(lo), Fraction(hi)) for lo, hi in bounds])
+        second = certify._cderivative(certify._cderivative(pairs))
+        (x0, x1), (y0, y1) = bounds
+        for x, y in itertools.product((x0, x1, Fraction(x0 + x1, 3)),
+                                      (y0, y1, Fraction(y0 + y1, 3))):
+            re, im = certify._ceval(second, Fraction(x), Fraction(y))
+            assert abs(re) <= b_re and abs(im) <= b_im
 
 
 class TestShearCheck:
@@ -742,29 +775,35 @@ class TestShearCheck:
         assert cert.evidence["angles_tried"] >= 360
 
     def test_gamma_grid_nests_when_doubled(self):
-        coarse = set(unit_gamma_grid(8))
-        fine = set(unit_gamma_grid(16))
-        assert coarse <= fine
+        for steps in (4, 8, 40, 180):
+            coarse, fine = ({(Fraction(a, e), Fraction(b, e))
+                             for a, b, e in unit_gamma_grid(s)}
+                            for s in (steps, 2 * steps))
+            assert coarse <= fine
 
     def test_gamma_grid_vectors_are_unit(self):
-        for ur, ui in unit_gamma_grid(12):
-            assert ur * ur + ui * ui == 1
+        for steps in (1, 5, 12, 360):
+            triples = list(unit_gamma_grid(steps))
+            assert all(a * a + b * b == e * e and e > 0
+                       for a, b, e in triples)
+            assert len(triples) == 4 * max(1, (steps + 3) // 4)
 
     def test_proven_pair_builds_only_the_angles_it_tries(self, monkeypatch):
         calls = []
-        half_angle = certify._half_angle_unit
+        half_angle = certify._half_angle_triple
 
-        def counting(t):
-            calls.append(t)
-            return half_angle(t)
+        def counting(p, q):
+            calls.append((p, q))
+            return half_angle(p, q)
 
-        monkeypatch.setattr(certify, "_half_angle_unit", counting)
+        monkeypatch.setattr(certify, "_half_angle_triple", counting)
         inp = PlanarShearInput(
             ((0, 0), (1, 0)), ((0, 0), (0, 0), (Fraction(1, 4), 0)))
         cert = planar_shear_check(inp, resolution=32, gamma_steps=360)
         assert cert.status == PROVEN
         assert cert.evidence["angles_tried"] == 2
-        assert len(calls) < 10
+        # both angles are rotations of the first t = -88/90 of 90 per quarter
+        assert calls == [(2 - 90, 90)]
 
     def test_monotone_in_gamma_steps(self):
         inp = PlanarShearInput(
@@ -815,12 +854,15 @@ class TestShearCheck:
         }
 
     def test_square_h_evidence_is_pinned(self):
-        # 360 grid angles, then the 16-angle bracket around the best one
+        # 360 grid angles, then the 16-angle bracket around the best one,
+        # which the evidence names with its first failing quantity
         inp = PlanarShearInput(((0, 0), (0, 0), (1, 0)), ((0, 0),))
         cert = planar_shear_check(inp, resolution=16, gamma_steps=360)
         assert cert.status == INCONCLUSIVE
-        assert cert.evidence == {"angles_tried": 376, "cells": 224,
-                                 "slack": Fraction(1, 4)}
+        assert cert.evidence == {
+            "angles_tried": 376, "cells": 224, "slack": Fraction(1, 4),
+            "best_gamma": (Fraction(-952, 1073), Fraction(495, 1073)),
+            "best_score": Fraction(-13, 8584)}
 
     def test_bracket_evidence_is_pinned(self):
         inp = PlanarShearInput(((0, 0), (Fraction(3, 5), Fraction(4, 5))),
@@ -949,10 +991,10 @@ class TestPValenceBound:
 # -- the integer lattice against the Fraction grid checks it replaced ---------
 #
 # The oracles below are the Fraction versions of grid_cells, _enclose,
-# _scan_gamma, planar_shear_check and shear_margin_grid as they were before
-# the grid checks moved onto an integer lattice.  The helpers the lattice
-# did not change (_cderivative, _ceval, the slack bound and the angle lists)
-# are shared.
+# _scan_gamma, planar_shear_check, shear_margin_grid and the angle lists as
+# they were before the grid checks moved onto an integer lattice and the
+# angles onto Pythagorean triples.  The helpers the lattice did not change
+# (_cderivative, _ceval and the shear's slack bound) are shared.
 
 def oracle_cell_intersects(domain, center, halves):
     if domain.kind == "ball":
@@ -1002,11 +1044,33 @@ def oracle_analytic_parts(coeffs):
     return re, im
 
 
+def oracle_disk_bound(coeffs, bounds):
+    """sum (|re_k| + |im_k|) rho^k over the coefficients of f'', with rho
+    the least multiple of 2^-32 above sqrt(r1^2 + r2^2) and each power
+    rounded up to a multiple of 2^-32: a bound on |f''| over the box."""
+    r1, r2 = (max(abs(lo), abs(hi)) for lo, hi in bounds)
+    unit = 2 ** 32
+    rho = Fraction(math.isqrt(math.floor((r1 * r1 + r2 * r2) * unit ** 2))
+                   + 1, unit)
+    total, power = Fraction(0), Fraction(1)
+    for re, im in certify._cderivative(certify._cderivative(coeffs)):
+        total += (abs(re) + abs(im)) * power
+        power = Fraction(math.ceil(power * rho * unit), unit)
+    return total
+
+
 def oracle_analytic_pair_check(coeffs, domain, resolution):
+    """The Fraction check, each partial's bound capped by the bound on
+    |f''|, as analytic_pair_check caps its part bounds."""
     centers, halves = oracle_grid_cells(domain, resolution)
+    disk = oracle_disk_bound(coeffs, domain.bounds)
     ranges = {}
     for name, p in zip(("u_x", "v_x"), oracle_analytic_parts(coeffs)):
-        lo, hi = oracle_enclose(p, domain, centers, halves)
+        values = [p.eval(c) for c in centers]
+        slack = sum((min(abs_bound_on_box(p.partial(i + 1), domain.bounds),
+                         disk) * h for i, h in enumerate(halves)),
+                    Fraction(0))
+        lo, hi = min(values) - slack, max(values) + slack
         ranges[name] = (lo, hi)
         if lo > 0 or hi < 0:
             return PROVEN, {"partial": name, "range": (lo, hi),
@@ -1043,15 +1107,38 @@ def oracle_scan_gamma(table, slack, ur, ui):
     return True, min_margin, min_margin
 
 
+def oracle_half_angle_unit(t):
+    den = 1 + t * t
+    return (1 - t * t) / den, 2 * t / den
+
+
+def oracle_unit_gamma_grid(steps):
+    quarter = max(1, (steps + 3) // 4)
+    for k in range(quarter):
+        ur, ui = oracle_half_angle_unit(
+            Fraction(-1) + Fraction(2 * (k + 1), quarter))
+        yield from ((ur, ui), (-ui, ur), (-ur, -ui), (ui, -ur))
+
+
+def oracle_rotations_near(gamma, steps):
+    ur, ui = gamma
+    out = []
+    for j in range(-certify.NEAR_ROTATIONS, certify.NEAR_ROTATIONS + 1):
+        if j:
+            cr, ci = oracle_half_angle_unit(Fraction(j, 2 * steps))
+            out.append((ur * cr - ui * ci, ur * ci + ui * cr))
+    return out
+
+
 def oracle_planar_shear_check(inp, resolution, gamma_steps):
     centers, table, h_slack, g_slack = oracle_shear_grid(inp, resolution)
     slack = h_slack + g_slack
     best, best_score = None, None
 
     def angles():
-        yield from unit_gamma_grid(gamma_steps)
+        yield from oracle_unit_gamma_grid(gamma_steps)
         if best is not None:
-            yield from certify._rotations_near(best, max(gamma_steps, 4))
+            yield from oracle_rotations_near(best, max(gamma_steps, 4))
 
     tried = 0
     for ur, ui in angles():
@@ -1065,7 +1152,8 @@ def oracle_planar_shear_check(inp, resolution, gamma_steps):
         if best_score is None or (score is not None and score > best_score):
             best, best_score = (ur, ui), score
     return INCONCLUSIVE, {"angles_tried": tried, "cells": len(centers),
-                          "slack": slack}
+                          "slack": slack, "best_gamma": best,
+                          "best_score": best_score}
 
 
 def oracle_shear_margin_grid(inp, resolution, gamma):
@@ -1174,6 +1262,35 @@ class TestLatticeOracles:
         for p in polys:
             assert (certify._enclose(p, domain, cells, halves)
                     == oracle_enclose(p, domain, want_centers, want_halves))
+
+    # four axes, so a prefix of up to three is dropped or taken whole: mixed
+    # normal signs and off-centre balls make the least and the most of the
+    # remaining axes differ from any one cell's terms
+    @settings(deadline=None, max_examples=60)
+    @given(domain=lattice_domains(4), resolution=st.integers(1, 6))
+    @example(domain=ConvexDomain.halfspaces(
+        [(-1, 1), (-2, 1), (0, 1), (-1, Fraction(1, 3))],
+        [((1, -2, Fraction(1, 2), -1), Fraction(1, 3)),
+         ((Fraction(-3, 2), 1, 1, Fraction(-2, 3)), 0)]), resolution=6)
+    @example(domain=ConvexDomain.ball(
+        (Fraction(1, 3), Fraction(-2, 5), 0, Fraction(3, 4)), Fraction(5, 7)),
+        resolution=6)
+    @example(domain=dataclasses.replace(
+        ConvexDomain.ball((Fraction(-3, 5), 1, 0, Fraction(1, 2)),
+                          Fraction(1, 2)),
+        bounds=tuple((Fraction(lo), Fraction(hi)) for lo, hi in
+                     ((-1, 1), (0, 2), (-1, 1), (-2, 1)))), resolution=5)
+    def test_4d_cells_match_fractions(self, domain, resolution):
+        try:
+            want_centers, want_halves = oracle_grid_cells(domain, resolution)
+        except ValueError:
+            with pytest.raises(ValueError, match="no cells"):
+                grid_cells(domain, resolution)
+            return
+        cells, halves = grid_cells(domain, resolution)
+        assert [tuple(Fraction(x, cells.unit) for x in point)
+                for point in cells.points] == want_centers
+        assert halves == want_halves
 
     @settings(deadline=None, max_examples=120)
     @given(inp=shear_inputs(), resolution=st.integers(1, 8),
