@@ -802,7 +802,8 @@ class TestShearCheck:
         cert = planar_shear_check(inp, resolution=32, gamma_steps=360)
         assert cert.status == PROVEN
         assert cert.evidence["angles_tried"] == 2
-        # both angles are rotations of the first t = -88/90 of 90 per quarter
+        # both angles tried are rotations of the grid's first t = -88/90,
+        # so one triple is built
         assert calls == [(2 - 90, 90)]
 
     def test_monotone_in_gamma_steps(self):
