@@ -175,10 +175,12 @@ def _cmd_jacobian(args):
     # determinant of the matrix just built
     det = (f.jacobian_det_closed_form() if isinstance(f, families.ZShiftMap)
            else matrix.det())
-    return {"kind": "jacobian", "n": f.n,
-            "matrix": [[str(matrix[i, j]) for j in range(f.n)]
-                       for i in range(f.n)],
-            "det": det}, digest
+    # a shift map's off-diagonal entries share one Poly per column: each
+    # distinct entry is printed once
+    entries = {id(p): p for row in matrix.data for p in row}
+    text = {key: str(p) for key, p in entries.items()}
+    rows = [[text[id(p)] for p in row] for row in matrix.data]
+    return {"kind": "jacobian", "n": f.n, "matrix": rows, "det": det}, digest
 
 
 def _cmd_keller(args):
@@ -283,8 +285,9 @@ def _cmd_shear_check(args):
     digest = _digest(repr(inp.h), repr(inp.g), str(inp.radius))
     cert = certify.planar_shear_check(inp, args.grid, args.gamma_steps)
     if args.plot_data:
-        gamma = (cert.evidence.get("gamma")
-                 if cert.status == certify.PROVEN else (Fraction(1), Fraction(0)))
+        # the angle that proved the pair, or else the best angle tried
+        gamma = cert.evidence["gamma" if cert.status == certify.PROVEN
+                              else "best_gamma"]
         rows = certify.shear_margin_grid(inp, args.grid, gamma)
         return {"kind": "plot-data", "columns": ["x", "y", "margin"],
                 "rows": rows}, digest

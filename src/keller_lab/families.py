@@ -33,6 +33,8 @@ from keller_lab.poly import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NOT_IN_Z = ("map is not a z-shift map: shifts are not polynomials in the "
+             "coordinate sum")
 
 
 @dataclass(frozen=True)
@@ -229,31 +231,52 @@ def zshift_from_map(f: PolyMap) -> ZShiftMap:
     terms are the C(l+n-1, l) terms t_l l!/prod(e_i!) x^e of t_l z^l, or
     none if t_l = 0.  Each t_l is read sparsely from the x1-axis terms, so
     no row as wide as a degree is built until the term checks pass; for
-    n >= 2 they bound the degree by f's own term count.  A shift map whose
+    n >= 2 they bound the degree by f's own term count.  A monomial's
+    multinomial l!/prod(e_i!) is computed once per call, however many
+    components hold it, and each component's terms are copied once.
+    A shift map whose
     degree passes MAX_EXPONENT, as no family file can state, is refused
     with ExpansionLimitError.  A ZShiftMap is returned as it is, and any
     other result keeps f's components as its expansion.
     """
     if isinstance(f, ZShiftMap):
         return f
-    n, shifts, axes = f.n, [], []
+    n, shifts = f.n, []
+    rest = (0,) * (n - 1)
     for k, p in enumerate(f.components):
         unit = (0,) * k + (1,) + (0,) * (n - k - 1)
-        shift = {**p.terms, unit: p.coefficient(unit) - 1}
-        shifts.append({e: c for e, c in shift.items() if c})
-        axes.append({e[0]: c for e, c in shifts[-1].items()
-                     if not any(e[1:])})
-        if 0 in axes[-1] or 1 in axes[-1]:
+        shift = dict(p._terms)  # the one copy: a Poly holds no zero term
+        c = shift.pop(unit, _ZERO) - 1
+        if c:
+            shift[unit] = c
+        if (0,) + rest in shift or (1,) + rest in shift:
             raise ValueError(
                 "map is not a z-shift map: shifts must start at degree 2")
+        shifts.append(shift)
     fact = cache(factorial)  # each k! once per call, only as asked for
-    for s, t in zip(shifts, axes):  # t[l] is s's x1^l coefficient
-        if Counter(map(sum, s)) != {l: comb(l + n - 1, l) for l in t} or any(
-                c.numerator * prod(map(fact, e)) * t[l].denominator
-                != t[l].numerator * fact(l) * c.denominator
-                for e, c in s.items() if any(e[1:]) for l in (sum(e),)):
-            raise ValueError("map is not a z-shift map: shifts are not "
-                             "polynomials in the coordinate sum")
+
+    @cache  # once per monomial, however many components hold it
+    def multinomial(e):
+        """l!/prod(e_i!) for the monomial x^e of degree l."""
+        return fact(sum(e)) // prod(map(fact, e))
+
+    axes = []
+    for s in shifts:
+        degrees = list(map(sum, s))
+        count = Counter(degrees)
+        t = {l: s[e] for l in count if (e := (l,) + rest) in s}
+        if count != {l: comb(l + n - 1, l) for l in t}:
+            raise ValueError(_NOT_IN_Z)
+        # t[l] is s's x1^l coefficient, and each other x^e's must be t[l]
+        # times e's multinomial: compared on integers
+        ratios = {l: c.as_integer_ratio() for l, c in t.items()}
+        for (e, c), l in zip(s.items(), degrees):
+            if e[0] != l:  # not on the x1-axis
+                num, den = c.as_integer_ratio()
+                t_num, t_den = ratios[l]
+                if num * t_den != t_num * multinomial(e) * den:
+                    raise ValueError(_NOT_IN_Z)
+        axes.append(t)
     top = max((l for t in axes for l in t), default=0)
     check_exponent(top)
     zmap = ZShiftMap([t.get(l, _ZERO) for l in range(2, top + 1)]

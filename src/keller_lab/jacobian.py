@@ -32,9 +32,19 @@ class KellerVerdict:
 
 
 def jacobian_matrix(f: PolyMap) -> PolyMatrix:
-    """Matrix of partials with entry (i, j) = d f_j / d x_i."""
-    n = f.n
-    return PolyMatrix([[f.components[j].partial(i + 1) for j in range(n)]
+    """Matrix of partials with entry (i, j) = d f_j / d x_i.
+
+    A z-shift map in n >= 2 variables takes 2n partials, not n^2: since
+    f_j = x_j + q_j(z), every d f_j / d x_i with i != j is q_j'(z), so the
+    off-diagonal entries of column j are one shared Poly."""
+    n, comps = f.n, f.components
+    if isinstance(f, ZShiftMap) and n >= 2:
+        diagonal = [p.partial(j + 1) for j, p in enumerate(comps)]
+        # d f_j / d x_i for one i != j: x2 for f_1, x1 for the others
+        shared = [p.partial(2 if j == 0 else 1) for j, p in enumerate(comps)]
+        return PolyMatrix([[diagonal[j] if i == j else shared[j]
+                            for j in range(n)] for i in range(n)])
+    return PolyMatrix([[comps[j].partial(i + 1) for j in range(n)]
                        for i in range(n)])
 
 

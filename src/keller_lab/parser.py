@@ -21,7 +21,10 @@ charged to one running total of at most ``poly.MAX_WORK`` multiply-adds,
 and the step that would take the total past it is refused at its token,
 before any work.  The powers that are terms of a sum are expanded only
 once the whole sum is read and paid for, so a long sum of powers is
-refused without expanding any of them.  Coefficients are bounded by
+refused without expanding any of them.  A power that repeats in a map,
+such as ``(x1+x2+x3)^2`` in every component of a shift map, is expanded
+once per map and shared; each occurrence is still charged at its own
+``^``, so the limits and their messages do not depend on the sharing.  Coefficients are bounded by
 Python's limit on the digits of an int printed as text
 (``poly.digit_limit``): a power is refused when a bound on its
 coefficients passes the limit, and a parsed polynomial when any coefficient
@@ -118,8 +121,9 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
 
 class _Parser:
     """Recursive descent; ``tok`` is the current token, ``cursor`` the index
-    just past it, and ``work`` the multiply-adds charged so far to the map
-    that the text belongs to.
+    just past it, ``work`` the multiply-adds charged so far to the map that
+    the text belongs to, and ``powers`` the powers that map has expanded,
+    keyed by (base numerators as a frozenset of items, exponent).
 
     A value is a pair (nums, den): a dict {exponent tuple: nonzero integer
     numerator} over one positive denominator, kept coprime to the numerators
@@ -129,7 +133,8 @@ class _Parser:
     convolution (``_purepoly.mul_ints``, ``_purepoly.pow_ints``), and a
     finished component builds one Fraction per term."""
 
-    def __init__(self, text: str, n: int, work: int = 0):
+    def __init__(self, text: str, n: int, work: int = 0,
+                 powers: dict | None = None):
         stray = _STRAY_RE.search(text)
         if stray:
             raise ParseError(f"unexpected character {stray.group()!r}",
@@ -138,6 +143,7 @@ class _Parser:
         self.n = n
         self.depth = 0
         self.work = work
+        self.powers = {} if powers is None else powers
         self.tok, self.cursor = None, 0
         self.take()
 
@@ -166,11 +172,17 @@ class _Parser:
             raise ParseError(str(exc), position) from exc
 
     def expanded(self, term) -> tuple[dict, int]:
-        """A term's value: a pending power is expanded here."""
+        """A term's value: a pending power is expanded here, or read from
+        self.powers if the map has expanded it before.  No value dict is
+        ever changed in place, so a memoised power is safe to share."""
         if len(term) == 2:
             return term
         nums, den, k = term
-        return _purepoly.pow_ints(nums, k, self.n), den
+        key = frozenset(nums.items()), k
+        power = self.powers.get(key)
+        if power is None:
+            power = self.powers[key] = _purepoly.pow_ints(nums, k, self.n)
+        return power, den
 
     def total(self, terms: list) -> tuple[dict, int]:
         """Expand the terms of a sum and add them, left to right, into one
@@ -309,15 +321,17 @@ def parse_map(texts: list[str]) -> PolyMap:
     A map of k components lives in k variables: a variable past the count
     is an unknown variable, refused with its position.  All components
     share one running total of work, so the map as a whole is bounded by
-    ``poly.MAX_WORK``."""
+    ``poly.MAX_WORK``.  They also share the powers expanded so far: each
+    distinct power of the map is expanded once, while every occurrence is
+    charged to the total at its own token."""
     if not texts:
         raise ParseError("a map needs at least one component expression", 0)
     n = len(texts)
     if n > 9:
         raise ParseError("variable count must be between 1 and 9", 0)
-    components, work = [], 0
+    components, work, powers = [], 0, {}
     for text in texts:
-        parser = _Parser(text, n, work)
+        parser = _Parser(text, n, work, powers)
         components.append(parser.parse())
         work = parser.work
     return PolyMap(components)

@@ -19,13 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from keller_lab import cli, jacobian, linalg
+from keller_lab import certify, cli, jacobian, linalg
 from keller_lab.certify import BAD_RESOLUTION
 from keller_lab.families import ZShiftMap
 from keller_lab.parser import parse_map
-from keller_lab.poly import ExpansionLimitError, digit_limit
+from keller_lab.poly import ExpansionLimitError, PolyMap, digit_limit
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, shift_maps
 
 SCHEMA_PATH = (Path(__file__).resolve().parents[1]
                / "src" / "keller_lab" / "schemas" / "report.schema.json")
@@ -864,8 +864,64 @@ class TestOutputModes:
         assert lines[0] == "x,y,f1,f2"
         assert len(lines) == 17
 
+    @pytest.mark.parametrize("argv, proven", [
+        (["--h", "0,0,1", "--gamma-steps", "360", "--grid", "16"], False),
+        (["--h", "0,1", "--g", "0,0,1/4"], True),
+    ], ids=["inconclusive", "proven"])
+    def test_shear_plot_data_is_at_the_reported_angle(self, capsys, argv,
+                                                      proven):
+        """The margin is plotted at the angle that proved the pair, or at
+        the best angle tried when none did."""
+        cert = run_json(capsys, ["shear-check"] + argv)["result"]
+        assert (cert["status"] == "proven-injective") is proven
+        gamma = cert["evidence"]["gamma" if proven else "best_gamma"]
+        plot = run_json(capsys, ["shear-check", "--plot-data"] + argv)
+        h = cli.parse_complex_coeffs(argv[1])
+        g = (cli.parse_complex_coeffs(argv[argv.index("--g") + 1])
+             if "--g" in argv else [(Fraction(0), Fraction(0))])
+        inp = certify.PlanarShearInput(tuple(h), tuple(g), Fraction(1))
+        grid = int(argv[argv.index("--grid") + 1]) if "--grid" in argv else 32
+        rows = certify.shear_margin_grid(
+            inp, grid, tuple(Fraction(x) for x in gamma))
+        assert plot["result"]["rows"] == cli.to_jsonable(rows)
 
-PLANAR = ["--expr", "x", "--expr", "y"]
+
+def _without_elapsed(text: str) -> str:
+    return re.sub(r'("elapsed_ms": |elapsed_ms,)[0-9.e+-]+', r"\1X", text)
+
+
+@pytest.mark.parametrize("f", shift_maps(29))
+def test_shift_map_jacobian_report_matches_the_n_squared_matrix(
+        capsys, monkeypatch, tmp_path, f):
+    """A shift map's 2n-partial Jacobian prints the report, json and csv,
+    of the n^2 matrix of its expanded components."""
+    table = tmp_path / "map.txt"
+    table.write_text("\n".join(map(str, f.components)) + "\n")
+    sources = [["--map", str(table)]]
+    if f.is_keller_family():  # a family file takes zero column sums
+        family = tmp_path / "family.txt"
+        family.write_text("\n".join(
+            ['family = "zshift"', f"n = {f.n}", f"m = {f.m}"]
+            + [f"p{l} = " + ", ".join(map(str, column))
+               for l, column in enumerate(zip(*f.coeffs), 2)]) + "\n")
+        sources.append(["--map", str(family)])
+
+    def reports():
+        out = []
+        for source in sources:
+            for fmt in ("json", "csv"):
+                assert cli.main(["jacobian", *source, "--format", fmt]) == 0
+                out.append(_without_elapsed(capsys.readouterr().out))
+        return out
+
+    shared = reports()
+    generic = jacobian.jacobian_matrix
+    monkeypatch.setattr(jacobian, "jacobian_matrix",
+                        lambda g: generic(PolyMap(g.components)))
+    assert shared == reports()
+
+
+PLANAR =["--expr", "x", "--expr", "y"]
 # subcommands that read neither --plot-data nor --grid, then those that
 # read --grid only
 NO_GRID = [

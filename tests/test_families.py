@@ -232,6 +232,26 @@ class TestZShiftRecognition:
         with pytest.raises(ValueError, match="not polynomials"):
             zshift_from_map(not_shift)
 
+    @pytest.mark.parametrize("change", ["coefficient", "scaled_block"])
+    def test_only_the_last_component_failing_is_refused(self, change):
+        """Every component holds the same monomials, so the last one's
+        multinomials are all computed already: its check still runs."""
+        comps = [p.terms for p in ZShiftMap(
+            [[3, -2], [Fraction(1, 2), 5], [-7, 1], [1, 1]]).components]
+        last = comps[-1]
+        if change == "coefficient":  # the x2*x3^2 term, of multinomial 3
+            last[(0, 1, 2, 0)] += 1
+        else:  # t_3 of the x1-axis term alone, the rest of degree 3 kept
+            last[(3, 0, 0, 0)] *= 2
+        f = PolyMap(Poly(4, t) for t in comps)
+        assert len({frozenset(e for e in p.terms if sum(e) > 1)
+                    for p in f.components}) == 1
+        with pytest.raises(ValueError, match="not polynomials in the "
+                           "coordinate sum"):
+            zshift_from_map(f)
+        assert _outcome(_expand_and_compare, f) == _outcome(
+            zshift_from_map, f)
+
 
 def _refuse_kernels(monkeypatch) -> None:
     """Make every term-dict kernel, z_power and the expansion charge

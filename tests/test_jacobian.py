@@ -17,7 +17,12 @@ from keller_lab.linalg import PolyMatrix, linear_poly_map
 from keller_lab.parser import parse_map
 from keller_lab.poly import Poly, PolyMap, coordinate_sum
 
-from conftest import random_keller_table, random_keller_zshift, rational
+from conftest import (
+    random_keller_table,
+    random_keller_zshift,
+    rational,
+    shift_maps,
+)
 
 
 class TestJacobianMatrix:
@@ -45,6 +50,33 @@ class TestJacobianMatrix:
                 # component j is sum_i a[j][i] x_i, so the Jacobian in the
                 # (variable, component) orientation is the transpose
                 assert jm[i, j] == a[j, i]
+
+
+class TestShiftMapJacobian:
+    """A z-shift map in n >= 2 variables takes 2n partials, and its
+    off-diagonal entries share one Poly per column."""
+
+    @pytest.mark.parametrize("f", shift_maps(28))
+    def test_2n_partials_match_the_n_squared_matrix(self, monkeypatch, f):
+        want = jacobian_matrix(PolyMap(f.components))
+        calls = []
+        partial = Poly.partial
+
+        def counting(p, i):
+            calls.append(i)
+            return partial(p, i)
+
+        monkeypatch.setattr(Poly, "partial", counting)
+        got = jacobian_matrix(f)
+        assert len(calls) == 2 * f.n
+        assert got.data == want.data
+        for j in range(f.n):
+            assert len({id(got[i, j]) for i in range(f.n) if i != j}) == 1
+
+    def test_one_variable_takes_its_one_partial(self):
+        jm = jacobian_matrix(ZShiftMap([[3, -1]]))
+        assert jm[0, 0] == parse_map(["x + 3*x^2 - x^3"]).components[
+            0].partial(1)
 
 
 class TestJacobianDet:

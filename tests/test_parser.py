@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from keller_lab import _purepoly
 from keller_lab.families import ZShiftMap, keller_zshift_map, rank_one_map
 from keller_lab.families import RankOneSpec
 from keller_lab.parser import (
@@ -19,6 +20,8 @@ from keller_lab.parser import (
     parse_poly,
 )
 from keller_lab.poly import MAX_EXPONENT, MAX_WORK, Poly, PolyMap, digit_limit
+
+from conftest import shift_texts
 
 
 class TestTokens:
@@ -433,6 +436,67 @@ class TestMapParsing:
     def test_more_than_nine_components_are_refused(self):
         with pytest.raises(ParseError, match="between 1 and 9"):
             parse_map(["x1"] * 10)
+
+
+class TestSharedPowers:
+    """parse_map expands each distinct power of a map once, and charges
+    every occurrence at its own token."""
+
+    @staticmethod
+    def count_powers(monkeypatch) -> list:
+        calls = []
+        pow_ints = _purepoly.pow_ints
+
+        def counting(*args):
+            calls.append(args[1])
+            return pow_ints(*args)
+
+        monkeypatch.setattr(_purepoly, "pow_ints", counting)
+        return calls
+
+    def test_a_shift_map_expands_each_power_once(self, monkeypatch):
+        table = [[Fraction(k, 7), -k] for k in range(1, 6)]  # shape (5, 3)
+        calls = self.count_powers(monkeypatch)
+        f = parse_map(shift_texts(table))
+        assert sorted(calls) == [2, 3]
+        assert f == PolyMap(ZShiftMap(table).components)
+
+    def test_components_equal_their_own_parse(self, monkeypatch):
+        texts = [
+            "x + 3*(x+y)^2 - ((x+y)^2)^2 + (x+y)^2*(x+y)^2",
+            "y - 3/4*(x+y)^2 + 2*-(x+y)^2 - (x - y)^2",
+        ]
+        calls = self.count_powers(monkeypatch)
+        f = parse_map(texts)
+        # (x+y)^2 once, its square once, (x - y)^2 once
+        assert len(calls) == 3
+        assert f.components == tuple(parse_poly(t, 2) for t in texts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([
+        "x", "y", "-(x+y)^3", "2*(x+y)^3", "(x+y)^3*(x-1/2)^2",
+        "-1/3*(x-1/2)^2", "((x+y)^3)^2", "(x-1/2)^2 - (x+y)^3"]),
+        min_size=1, max_size=3).map(" + ".join), min_size=2, max_size=2))
+    def test_shared_powers_match_separate_parses(self, texts):
+        f = parse_map(texts)
+        assert f.components == tuple(parse_poly(t, 2) for t in texts)
+
+    def test_a_repeated_power_is_charged_at_each_token(self):
+        z = "(x1+x2+x3+x4+x5+x6+x7+x8+x9)^12"
+        texts = [f"x1 + {z}", f"x2 - {z}"] + [f"x{k}" for k in range(3, 10)]
+        with pytest.raises(ParseError) as info:
+            parse_map(texts)
+        assert str(info.value) == (
+            f"power 12 of 9 terms takes the map past the limit of {MAX_WORK} "
+            "multiply-adds (at position 34)")
+
+    @pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+    def test_a_digit_refusal_keeps_its_position(self):
+        base = "(1/" + "9" * 1000 + "*x + y)"
+        texts = [f"x + {base}^4", f"y + {base}^4 - {base}^5"]
+        with pytest.raises(ParseError, match="digit limit") as info:
+            parse_map(texts)
+        assert info.value.position == texts[1].rindex("5")
 
 
 class TestMapFiles:
