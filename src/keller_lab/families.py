@@ -233,11 +233,10 @@ def zshift_from_map(f: PolyMap) -> ZShiftMap:
     no row as wide as a degree is built until the term checks pass; for
     n >= 2 they bound the degree by f's own term count.  A monomial's
     multinomial l!/prod(e_i!) is computed once per call, however many
-    components hold it, and each component's terms are copied once.
-    A shift map whose
-    degree passes MAX_EXPONENT, as no family file can state, is refused
-    with ExpansionLimitError.  A ZShiftMap is returned as it is, and any
-    other result keeps f's components as its expansion.
+    components hold it, and each component's terms are copied once.  A
+    shift map whose degree passes MAX_EXPONENT, as no family file can
+    state, is refused with ExpansionLimitError.  A ZShiftMap is returned
+    as it is, and any other result keeps f's components as its expansion.
     """
     if isinstance(f, ZShiftMap):
         return f

@@ -24,9 +24,9 @@ once the whole sum is read and paid for, so a long sum of powers is
 refused without expanding any of them.  A power that repeats in a map,
 such as ``(x1+x2+x3)^2`` in every component of a shift map, is expanded
 once per map and shared; each occurrence is still charged at its own
-``^``, so the limits and their messages do not depend on the sharing.  Coefficients are bounded by
-Python's limit on the digits of an int printed as text
-(``poly.digit_limit``): a power is refused when a bound on its
+``^``, so the limits and their messages do not depend on the sharing.
+Coefficients are bounded by Python's limit on the digits of an int printed
+as text (``poly.digit_limit``): a power is refused when a bound on its
 coefficients passes the limit, and a parsed polynomial when any coefficient
 does.  Family files obey the same exponent, work and digit limits.
 
