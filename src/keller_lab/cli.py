@@ -50,8 +50,6 @@ def to_jsonable(value, float_mode: bool = False):
         return out
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        return value
     if isinstance(value, Poly):
         return str(value)
     if isinstance(value, PolyMap):

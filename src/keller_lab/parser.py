@@ -20,8 +20,8 @@ The expansion limits are ``poly``'s: every product and power of a map is
 charged to one running total of at most ``poly.MAX_WORK`` multiply-adds,
 and the step that would take the total past it is refused at its token,
 before any work.  The powers that are terms of a sum are expanded only
-once the whole sum is read and paid for, so a long sum of powers is
-refused without expanding any of them.  A power that repeats in a map,
+once the whole map is read and paid for, so a long sum of powers in any
+component is refused before any is expanded.  A power that repeats in a map,
 such as ``(x1+x2+x3)^2`` in every component of a shift map, is expanded
 once per map and shared; each occurrence is still charged at its own
 ``^``, so the limits and their messages do not depend on the sharing.
@@ -120,10 +120,10 @@ def _lowest(nums: dict, den: int) -> tuple[dict, int]:
 
 
 class _Parser:
-    """Recursive descent; ``tok`` is the current token, ``cursor`` the index
-    just past it, ``work`` the multiply-adds charged so far to the map that
-    the text belongs to, and ``powers`` the powers that map has expanded,
-    keyed by (base numerators as a frozenset of items, exponent).
+    """Recursive descent over the components of one map; ``tok`` is the
+    current token, ``cursor`` the index just past it, ``work`` the
+    multiply-adds charged so far to the map, and ``powers`` the powers it
+    has expanded, keyed by (base numerators as a frozenset of items, exponent).
 
     A value is a pair (nums, den): a dict {exponent tuple: nonzero integer
     numerator} over one positive denominator, kept coprime to the numerators
@@ -133,19 +133,30 @@ class _Parser:
     convolution (``_purepoly.mul_ints``, ``_purepoly.pow_ints``), and a
     finished component builds one Fraction per term."""
 
-    def __init__(self, text: str, n: int, work: int = 0,
-                 powers: dict | None = None):
+    def __init__(self, n: int):
+        self.n, self.work, self.powers = n, 0, {}
+
+    def read(self, text: str) -> list:
+        """One component's sum, its steps charged, its powers unexpanded."""
         stray = _STRAY_RE.search(text)
         if stray:
             raise ParseError(f"unexpected character {stray.group()!r}",
                              stray.start())
         self.text = text
-        self.n = n
         self.depth = 0
-        self.work = work
-        self.powers = {} if powers is None else powers
         self.tok, self.cursor = None, 0
         self.take()
+        terms = self.expression()
+        if self.tok[0]:
+            raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
+        return terms
+
+    def expand(self, terms: list) -> Poly:
+        """The polynomial of a sum that ``read`` returned."""
+        nums, den = self.total(terms)
+        value = Poly._wrap(self.n, _purepoly.terms_over(nums, den))
+        _check_digits(value)
+        return value
 
     def take(self) -> tuple[str, str, int]:
         """Return the current token and match the next one at the cursor."""
@@ -204,15 +215,6 @@ class _Parser:
                 else:
                     del total[mono]
         return _lowest(total, den)
-
-    def parse(self) -> Poly:
-        terms = self.expression()
-        if self.tok[0]:
-            raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2])
-        nums, den = self.total(terms)
-        value = Poly._wrap(self.n, _purepoly.terms_over(nums, den))
-        _check_digits(value)
-        return value
 
     def expression(self) -> list:
         """A sum as (sign, term) pairs; its powers are paid for but left
@@ -312,29 +314,27 @@ def parse_poly(text: str, n: int) -> Poly:
     """Parse one polynomial in n variables."""
     if n < 1 or n > 9:
         raise ValueError("variable count must be between 1 and 9")
-    return _Parser(text, n).parse()
+    parser = _Parser(n)
+    return parser.expand(parser.read(text))
 
 
 def parse_map(texts: list[str]) -> PolyMap:
     """Parse one expression per component into a square polynomial map.
 
     A map of k components lives in k variables: a variable past the count
-    is an unknown variable, refused with its position.  All components
-    share one running total of work, so the map as a whole is bounded by
-    ``poly.MAX_WORK``.  They also share the powers expanded so far: each
-    distinct power of the map is expanded once, while every occurrence is
+    is an unknown variable, refused with its position.  Every component
+    is read and charged to one running total of work, bounded by
+    ``poly.MAX_WORK``, before the powers of any sum are expanded; each
+    distinct power is expanded once per map, while every occurrence is
     charged to the total at its own token."""
     if not texts:
         raise ParseError("a map needs at least one component expression", 0)
     n = len(texts)
     if n > 9:
         raise ParseError("variable count must be between 1 and 9", 0)
-    components, work, powers = [], 0, {}
-    for text in texts:
-        parser = _Parser(text, n, work, powers)
-        components.append(parser.parse())
-        work = parser.work
-    return PolyMap(components)
+    parser = _Parser(n)
+    sums = [parser.read(text) for text in texts]
+    return PolyMap([parser.expand(terms) for terms in sums])
 
 
 # -- map files ----------------------------------------------------------------

@@ -520,6 +520,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("sizes", ["n = 10\nm = 2\n", "n = 2\nm = 0\n"],
+                             ids=["n-10", "m-0"])
+    def test_family_size_out_of_range_is_two(self, capsys, tmp_path, sizes):
+        path = tmp_path / "family.txt"
+        path.write_text("family = zshift\n" + sizes)
+        code = cli.main(["keller", "--map", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: need 1 <= n <= 9 and m >= 1 "
+                                "(at position 0)\n")
+
     @pytest.mark.parametrize("argv, conflict", [
         (["keller", "--map", "family.txt", "--expr", "x^2"],
          "argument --expr: not allowed with argument --map"),
@@ -560,6 +572,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == \
             "error: denominator bits must be non-negative\n"
+
+    def test_a_one_point_domain_is_one(self, capsys):
+        code = cli.main(["inject-sample", "--expr", "x",
+                         "--domain", "box:0,0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == \
+            "error: domain too small to sample distinct pairs\n"
 
     def test_huge_denominator_bits_fail_fast(self, capsys):
         # the witness values would have about 60206 digits: refused before
@@ -805,6 +826,14 @@ class TestOutputModes:
         assert report["result"]["det"] == "1"
         # matrix entries stay symbolic strings; scalars become floats
         assert report["result"]["n"] == 2
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_a_float_in_a_result_is_refused(self, float_mode):
+        # results are exact: a float appears only when --float renders a
+        # Fraction, so one already in a result is a bug, not output
+        assert cli.to_jsonable([Fraction(1, 2)], True) == [0.5]
+        with pytest.raises(TypeError, match="cannot serialize float"):
+            cli.to_jsonable({"margin": 0.5}, float_mode)
 
     def test_csv_key_value(self, capsys):
         code = cli.main(["keller", "--expr", "x", "--expr", "y",

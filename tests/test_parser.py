@@ -569,6 +569,11 @@ class TestMapFileErrors:
         with pytest.raises(ParseError, match="alpha needs 2 entries"):
             parse_family_file(text)
 
+    def test_gamma_length(self):
+        text = "family = rank-one\nn = 3\nm = 2\ngamma = 1, -1\nalpha = 1\n"
+        with pytest.raises(ParseError, match="gamma needs 3 entries, got 2"):
+            parse_family_file(text)
+
     def test_nonzero_column_sum_is_a_domain_error(self):
         # syntax is fine: the structural hypothesis fails downstream
         text = "family = zshift\nn = 2\nm = 2\np2 = 1, 1\n"

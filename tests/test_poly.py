@@ -377,7 +377,20 @@ class TestExpansionGuard:
                 f"power 12 of 9 terms takes the map past the limit of "
                 f"{MAX_WORK} multiply-adds")
             assert info.value.position == texts[1].index("12")
-            assert pow_calls == [(9, 12, 9)]
+            assert pow_calls == []
+
+    def test_a_later_syntax_error_is_refused_before_any_power(
+            self, pow_calls):
+        z9 = "(" + "+".join(f"x{i}" for i in range(1, 10)) + ")"
+        texts = [f"x1 + {z9}^12"] + [f"x{i}" for i in range(2, 9)] + ["x9 +"]
+        for read in (lambda: parse_map(texts),
+                     lambda: parse_map_file("\n".join(texts))):
+            pow_calls.clear()
+            with pytest.raises(ParseError) as info:
+                read()
+            assert str(info.value) == ("expected a number, variable or '(', "
+                                       "found 'end of input' (at position 4)")
+            assert pow_calls == []
 
     def test_a_table_pays_for_its_nonzero_degrees_before_expanding(
             self, pow_calls):
