@@ -25,13 +25,15 @@ Three certifier flavours, in decreasing strength:
     taken, and every shear angle is a Pythagorean triple, so the cell
     tests, the polynomial values and the shear scan run on ints, and a
     Fraction is built only for a bound, angle or margin that is reported.
-    A grid, and a shear scan's angle list, holds at most MAX_GRID points,
-    pair sampling runs at most MAX_GRID trials, and no lattice scale
-    unit^degree passes the digit limit.
+    A grid, and a shear scan's angle list, holds at most MAX_GRID points
+    (check_grid), and no lattice scale unit^degree passes the digit limit
+    (check_scale).
     The interval Jacobian encloses each distinct partial once and takes
     the determinant of the Interval matrix by cofactor expansion;
   * randomized pair sampling can only find failure witnesses or report
-    statistics - it never claims a proof.
+    statistics - it never claims a proof.  It runs at most MAX_GRID
+    trials, on a 2^-k lattice whose values, with denominators up to
+    2^(k * degree), stay within the digit limit.
 
 All certificates carry re-checkable evidence and every number is exact.
 """
@@ -187,6 +189,16 @@ def check_grid(resolution: int, n: int) -> None:
                          f"of {MAX_GRID} cells")
 
 
+def check_scale(unit: int, degree: int) -> None:
+    """Refuse a lattice scale unit^degree past the digit limit, before any
+    value or power of unit is built."""
+    limit = digit_limit()
+    if limit and degree * log10(unit) >= limit:
+        raise ValueError(
+            f"degree {degree} is too high for this grid: the lattice scale "
+            f"{unit}^{degree} passes the {limit}-digit limit")
+
+
 def _scaled(x: Fraction, scale: int) -> int:
     """x * scale, for a scale that x's denominator divides."""
     return x.numerator * (scale // x.denominator)
@@ -284,20 +296,10 @@ def abs_bound_on_box(p: Poly, bounds: Sequence[tuple[Fraction, Fraction]]
                                radii)
 
 
-def _check_scale(unit: int, degree: int) -> None:
-    """Refuse a lattice scale unit^degree past the digit limit, before any
-    value or power of unit is built."""
-    limit = digit_limit()
-    if limit and degree * log10(unit) >= limit:
-        raise ValueError(
-            f"degree {degree} is too high for this grid: the lattice scale "
-            f"{unit}^{degree} passes the {limit}-digit limit")
-
-
 def _enclose(p: Poly, domain: ConvexDomain, cells: LatticeCells,
              halves: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
     """(lo, hi) enclosing p over the grid_cells (cells, halves) of domain."""
-    _check_scale(cells.unit, max(p.degree(), 0))
+    check_scale(cells.unit, max(p.degree(), 0))
     values, den = _kernels.lattice_values(p.terms, cells.points, cells.unit)
     # |p(x) - p(center)| <= sum_i sup|dp/dx_i| * half_i within a cell
     slack = sum((abs_bound_on_box(p.partial(i + 1), domain.bounds) * halves[i]
@@ -393,7 +395,9 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
     whose determinant is that zero.  A singular pair whose values still
     separate is not a counterexample, so it only lowers the min |det|
     statistic.  Anything short of a collision is inconclusive: sampling
-    cannot prove a condition quantified over all pairs.
+    cannot prove a condition quantified over all pairs.  A witness reports
+    f's values, whose denominators reach 2^(denom_bits * deg f): values past
+    the digit limit are refused before the first pair is drawn.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -401,6 +405,12 @@ def certify_injective_sampling(f: PolyMap, domain: ConvexDomain,
         raise ValueError(f"{trials} trials are over the cap of {MAX_GRID}")
     if f.n != domain.n:
         raise ValueError("dimension mismatch")
+    digits = max(f.degree(), 1) * denom_bits * log10(2)
+    limit = digit_limit()
+    if limit and digits > limit:
+        raise ValueError(
+            f"denominator bits {denom_bits} give values of about "
+            f"{digits:.0f} digits, over the {limit}-digit limit")
     rng = random.Random(seed)
     min_abs: Fraction | None = None
     for tested in range(1, trials + 1):
@@ -586,7 +596,7 @@ def _derivative_table(coeffs, cells: LatticeCells
     der = _cderivative(coeffs)
     unit = cells.unit
     degree = max(len(der) - 1, 0)
-    _check_scale(unit, degree)
+    check_scale(unit, degree)
     q = lcm(*[x.denominator for pair in der for x in pair])
     scaled = [(_scaled(re, q) * unit ** (degree - k),
                _scaled(im, q) * unit ** (degree - k))

@@ -16,7 +16,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -149,6 +148,10 @@ def _plot_data_for_map(f: PolyMap, resolution: int) -> dict:
     if f.n != 2:
         raise ValueError("plot data needs a two-variable map")
     certify.check_grid(resolution, 2)
+    # node i is -1 + 2i/(r - 1): refuse a degree whose lattice scale passes
+    # the digit limit before any value is built
+    unit = Fraction(2, resolution - 1).denominator if resolution > 1 else 1
+    certify.check_scale(unit, f.degree())
     rows = []
     for i in range(resolution):
         for j in range(resolution):
@@ -253,14 +256,6 @@ def _certificate_payload(cert: certify.Certificate) -> dict:
 def _cmd_inject_sample(args):
     f, digest = _load_map(args)
     domain = parse_domain(args.domain)
-    # a witness reports f's values, whose denominators reach
-    # 2^(k * deg f): refuse before sampling what could never be printed
-    digits = max(f.degree(), 1) * args.denom_bits * math.log10(2)
-    limit = digit_limit()
-    if limit and digits > limit:
-        raise ValueError(
-            f"--denom-bits {args.denom_bits} gives values of about "
-            f"{digits:.0f} digits, over the {limit}-digit limit")
     cert = certify.certify_injective_sampling(
         f, domain, args.trials, args.seed, args.denom_bits)
     return _certificate_payload(cert), digest

@@ -26,7 +26,7 @@ from keller_lab.families import (
 from keller_lab.jacobian import keller_check
 # rat_solve is unused here; perfbench/tracing.py wraps factor.rat_solve
 from keller_lab.linalg import RatMatrix, rat_solve  # noqa: F401
-from keller_lab.poly import PolyMap
+from keller_lab.poly import PolyMap, check_exponent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -237,6 +237,8 @@ def planar_normal_form(f_tilde: PolyMap) -> PlanarNormalForm:
     except ValueError as exc:
         raise ValueError(
             f"lower-degree part is not a coordinate-sum shift: {exc}") from exc
+    # m - 1 alphas are built below: refuse a degree no map file can state
+    check_exponent(degree)
     base_alphas = tuple(base_zshift.coeffs[0])
     base = RankOneSpec((_ONE, -_ONE),
                        base_alphas + (_ZERO,) * (m - 1 - len(base_alphas)))

@@ -36,7 +36,7 @@ from keller_lab.families import RankOneSpec
 from keller_lab.jacobian import jacobian_matrix
 from keller_lab.linalg import RatMatrix, linear_poly_map
 from keller_lab.parser import parse_map
-from keller_lab.poly import ExpansionLimitError, Poly, PolyMap
+from keller_lab.poly import ExpansionLimitError, Poly, PolyMap, digit_limit
 
 from conftest import (
     random_keller_table, random_keller_zshift, random_point, rational)
@@ -411,6 +411,29 @@ class TestSamplingCertifier:
             PolyMap.identity(2), UNIT_BOX, trials=3, seed=0)
         assert cert.status != PROVEN
 
+    @pytest.mark.skipif(digit_limit() != 4300, reason="boundary at 4300")
+    @pytest.mark.parametrize("degree, refused", [(3571, False), (3572, True)])
+    def test_values_past_the_digit_limit_are_refused_before_any_pair(
+            self, monkeypatch, degree, refused):
+        # a witness's values have denominators up to 2^(4 * degree) on the
+        # default lattice: 4299.9 digits pass, 4301.1 are refused
+        def sampled(*args):
+            raise AssertionError("a pair was sampled")
+
+        monkeypatch.setattr(certify, "sample_point", sampled)
+        f = parse_map([f"x^1000*x^1000*x^1000*x^{degree - 3000}", "y"])
+        with pytest.raises(ValueError, match="at least one trial"):
+            certify_injective_sampling(f, UNIT_BOX, trials=0, seed=0)
+        if not refused:
+            with pytest.raises(AssertionError, match="a pair was sampled"):
+                certify_injective_sampling(f, UNIT_BOX, trials=1, seed=0)
+            return
+        with pytest.raises(ValueError) as caught:
+            certify_injective_sampling(f, UNIT_BOX, trials=1, seed=0)
+        assert str(caught.value) == ("denominator bits 4 give values of "
+                                     "about 4301 digits, over the 4300-digit "
+                                     "limit")
+
 
 def forbid_jacobians(monkeypatch) -> list:
     """Make every Jacobian, partial or segment restriction raise, and record
@@ -640,6 +663,15 @@ class TestIntervalJacobianCertifier:
         assert cert.status == PROVEN
         assert len(calls) == len(set(calls)) == 4
 
+    def test_triangular_map_proves_on_the_default_grid(self):
+        # the 4-D default grid 32 has 2^20 cells, the cap
+        f = parse_map(["x1 + x4^2", "x2", "x3 - x1^3", "x4"])
+        start = time.process_time()
+        result = pvalent_bound(f, [ConvexDomain.box([(-1, 1)] * 4)])
+        assert time.process_time() - start < 5
+        assert result.bound == 1
+        assert result.certificates[0].evidence["cells"] == certify.MAX_GRID
+
 
 def counted_grids(monkeypatch) -> list:
     """Record the (domain, resolution) of every grid certify builds."""
@@ -711,10 +743,11 @@ class TestAnalyticPairCheck:
             analytic_pair_check([(0, 0), (1, 0)],
                                 ConvexDomain.box([(0, 1)] * 3))
 
-    def test_degree_150_is_read_without_expanding(self):
+    @pytest.mark.parametrize("degree", [150, 601])
+    def test_degree_150_is_read_without_expanding(self, degree):
         # f' comes from the complex Horner table, one pass per cell, with no
         # expansion in x and y
-        coeffs = [(0, 0), (1, 0)] + [(Fraction(1, 1000), 0)] * 149
+        coeffs = [(0, 0), (1, 0)] + [(Fraction(1, 1000), 0)] * (degree - 1)
         half = (Fraction(-1, 2), Fraction(1, 2))
         start = time.process_time()
         cert = analytic_pair_check(coeffs, ConvexDomain.box([half, half]))

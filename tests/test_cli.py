@@ -452,6 +452,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: bad radius {radius!r}")
 
+    @pytest.mark.parametrize("radius", [["--radius", "0"], ["--radius=-1/2"]],
+                             ids=["zero", "negative"])
+    def test_radius_not_positive_is_one(self, capsys, radius):
+        code = cli.main(["shear-check", "--h", "0,1"] + radius)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: disk radius must be positive\n"
+
+    @pytest.mark.parametrize("top", ["(y^1000)^1000", "((y^1000)^1000)^1000"],
+                             ids=["degree-10^6", "degree-10^9"])
+    def test_normal_form_past_the_exponent_limit_is_one_promptly(self, capsys,
+                                                                 top):
+        # degree 10^6 took 4.5 s to say so, and degree 10^9 padded its base
+        # alphas to 10^9 zeros and ended in a MemoryError
+        start = time.process_time()
+        code = cli.main(["normal-form-2d", "--expr", f"x + {top}",
+                         "--expr", "y"])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: exponent exceeds the limit of 1000\n"
+        assert elapsed < 1
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
         ["jacobian", "--expr", "x^2", "--expr", "y"],
@@ -520,17 +545,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("sizes", ["n = 10\nm = 2\n", "n = 2\nm = 0\n"],
-                             ids=["n-10", "m-0"])
-    def test_family_size_out_of_range_is_two(self, capsys, tmp_path, sizes):
+    @pytest.mark.parametrize("sizes, message", [
+        ("n = 10\nm = 2\n", "need 1 <= n <= 9 and m >= 1"),
+        ("n = 2\nm = 0\n", "need 1 <= n <= 9 and m >= 1"),
+        ("n = two\nm = 2\n", "'n' and 'm' must be integers"),
+    ], ids=["n-10", "m-0", "n-two"])
+    def test_family_size_out_of_range_is_two(self, capsys, tmp_path, sizes,
+                                             message):
         path = tmp_path / "family.txt"
         path.write_text("family = zshift\n" + sizes)
         code = cli.main(["keller", "--map", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == ("error: need 1 <= n <= 9 and m >= 1 "
-                                "(at position 0)\n")
+        assert captured.err == f"error: {message} (at position 0)\n"
 
     @pytest.mark.parametrize("argv, conflict", [
         (["keller", "--map", "family.txt", "--expr", "x^2"],
@@ -582,18 +610,27 @@ class TestExitCodes:
         assert captured.err == \
             "error: domain too small to sample distinct pairs\n"
 
-    def test_huge_denominator_bits_fail_fast(self, capsys):
+    @pytest.mark.parametrize("argv, bits", [
+        (["inject-sample", "--expr", "x^2", "--expr", "y",
+          "--domain", "box:-1,1;-1,1", "--denom-bits", "100000",
+          "--trials", "40"], 100000),
+        # five variables: pvalent samples on its 2^-4 lattice, and ran past
+        # 30 s on degree 10^6 and into a MemoryError on degree 10^9
+        *[(["pvalent"] + expr_flags([f"x1 + {power}"]
+                                    + [f"x{i}" for i in range(2, 6)])
+           + ["--piece", "box:" + ";".join(["-1,1"] * 5)], 4)
+          for power in ("(x1^1000)^1000", "((x1^1000)^1000)^1000")],
+    ], ids=["inject-sample", "pvalent-degree-10^6", "pvalent-degree-10^9"])
+    def test_huge_denominator_bits_fail_fast(self, capsys, argv, bits):
         # the witness values would have about 60206 digits: refused before
         # any pair is sampled, not after
         start = time.perf_counter()
-        code = cli.main(["inject-sample", "--expr", "x^2", "--expr", "y",
-                         "--domain", "box:-1,1;-1,1", "--denom-bits",
-                         "100000", "--trials", "40"])
+        code = cli.main(argv)
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: --denom-bits 100000 ")
+        assert captured.err.startswith(f"error: denominator bits {bits} ")
         assert "digit" in captured.err
 
     def test_option_like_expression_is_usage_error(self, capsys):
@@ -610,25 +647,27 @@ class TestExitCodes:
         assert cli.main(["keller", "--expr", "x", "--expr", "y"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("first", [
-        "x1 + " + " + ".join(f"x1^{k}" for k in range(2, 12)),
-        "x1 + x1^13",
-    ], ids=["x1-powers-to-11", "x1^13"])
+    @pytest.mark.parametrize("exprs, seconds", [
+        (["x1 + " + " + ".join(f"x1^{k}" for k in range(2, 12))]
+         + [f"x{i}" for i in range(2, 10)], 0.5),
+        (["x1 + x1^13"] + [f"x{i}" for i in range(2, 10)], 0.5),
+        # 19,600 terms, read, added and recognised in linear time
+        (["x + " + " + ".join(f"{a}/{b}*x^{a}*y^{b}" for a in range(1, 141)
+                              for b in range(1, 141)), "y"], 2),
+    ], ids=["x1-powers-to-11", "x1^13", "19600-terms"])
     def test_nine_variables_not_a_shift_map_is_one_promptly(self, capsys,
-                                                            first):
+                                                            exprs, seconds):
         # recognition expanded z^2..z^11 in 9 variables (3 s) before it
         # said no, and refused z^13 with the expansion limit's message
-        argv = (["inverse", "--expr", first]
-                + expr_flags(f"x{i}" for i in range(2, 10)))
         start = time.process_time()
-        code = cli.main(argv)
+        code = cli.main(["inverse"] + expr_flags(exprs))
         elapsed = time.process_time() - start
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == (
             "error: map is not a z-shift map: shifts are not polynomials "
             "in the coordinate sum\n")
-        assert elapsed < 0.5
+        assert elapsed < seconds
 
     @pytest.mark.parametrize("argv", [
         ["inverse"] + expr_flags([
@@ -781,7 +820,10 @@ LONG_COEFFS = ",".join(["0", "1"] + ["1/1000"] * 2998)
      "--piece", "box:-1,1;-1,1", "--grid", "4"],
     ["analytic-check", "--coeffs", LONG_COEFFS, "--domain", "box:-1,1;-1,1"],
     ["shear-check", "--h", LONG_COEFFS],
-], ids=["pvalent", "analytic-check", "shear-check"])
+    # nodes -1, -1/3, 1/3, 1: the values would carry 3^(10^9)
+    ["jacobian", "--expr", "x + ((x^1000)^1000)^1000", "--expr", "y",
+     "--plot-data", "--grid", "4"],
+], ids=["pvalent", "analytic-check", "shear-check", "jacobian-plot"])
 def test_grid_past_the_digit_limit_is_one_promptly(capsys, argv):
     # the degree is refused before any lattice value is built; the pvalent
     # request's Jacobian entry 1 + 10^6 x^999999 would carry 8^999999
@@ -795,6 +837,17 @@ def test_grid_past_the_digit_limit_is_one_promptly(capsys, argv):
     assert "-digit limit" in captured.err
     assert "Traceback" not in captured.err
     assert elapsed < 1
+
+
+def test_plot_on_integer_nodes_takes_any_degree(capsys):
+    # grid 3 puts the nodes at -1, 0 and 1, whose lattice scale is 1
+    report = run_json(capsys, ["jacobian", "--expr",
+                               "x + ((x^1000)^1000)^1000", "--expr", "y",
+                               "--plot-data", "--grid", "3"])
+    rows = report["result"]["rows"]
+    assert len(rows) == 9
+    assert {(x, f1) for x, _, f1, _ in rows} == {
+        ("-1", "0"), ("0", "0"), ("1", "2")}
 
 
 # a zero-sum shift map in 9 variables, the parser's limit, of degree 2

@@ -72,6 +72,9 @@ class TestComposeRankOneFactors:
         with pytest.raises(ValueError):
             compose_rank_one_factors(
                 (RankOneSpec((1, -1), (1,)), RankOneSpec((1, 0, -1), (1,))))
+        with pytest.raises(ValueError,
+                           match="factor dimension 3 does not match 2"):
+            compose_rank_one_factors((RankOneSpec((1, 0, -1), (1,)),), n=2)
 
 
 class TestDecompose:

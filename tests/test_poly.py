@@ -71,6 +71,11 @@ class TestArithmetic:
         assert (x + y) - x == y
         assert x - x == Poly.zero(2)
 
+    def test_scalar_minus_poly(self):
+        x, y = xy()
+        assert 1 - x == Poly.const(2, 1) - x
+        assert Fraction(1, 2) - y == -(y - Fraction(1, 2))
+
     def test_scalar_multiplication(self):
         x, _ = xy()
         assert x * 2 == x + x
