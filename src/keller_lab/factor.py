@@ -202,13 +202,14 @@ def planar_normal_form(f_tilde: PolyMap) -> PlanarNormalForm:
 
     The input checks, in order: two variables; a map of degree at most 1
     is the identity; det Df = 1; the part below the top degree d = m+1 is
-    a coordinate-sum shift, the base with gamma (1,-1).  After them
-    det Df = 1 forces the rest of the shape: the top pair (W, w) has
-    w = lambda*W and W = b0*(y - lambda*x)^d, the base shifts the two
-    coordinates oppositely, and an active base has lambda = -1.  W = 0 is
-    the swapped case: the swapped map has top pair (w, 0), ratio 0 and b0
-    the x^d coefficient of w.  The case picks A; a swapped A and alpha_top
-    are swapped back.  The normal form is verified once before returning.
+    a coordinate-sum shift, the base with gamma (1,-1); a degree within the
+    exponent limit.  After them det Df = 1 forces the rest of the shape:
+    the top pair (W, w) has w = lambda*W and W = b0*(y - lambda*x)^d, the
+    base shifts the two coordinates oppositely, and an active base has
+    lambda = -1.  W = 0 is the swapped case: the swapped map has top pair
+    (w, 0), ratio 0 and b0 the x^d coefficient of w.  The case picks A; a
+    swapped A and alpha_top are swapped back.  The normal form is verified
+    once before returning.
     """
     if f_tilde.n != 2:
         raise ValueError("normal form is defined for two-variable maps")
